@@ -97,7 +97,7 @@ def clugp_partition(
         # O(2|V|) vertex state + O(m) cluster/game tables (§VI "Space").
         space_bytes=clus.space_bytes() + int(sizes.nbytes + g.assignment.nbytes),
         batch_times=g.batch_times,
-        score_ops=getattr(g, "score_ops", 0),
+        score_ops=g.score_ops,
     )
 
 

@@ -17,11 +17,12 @@ cluster, and per cluster its *volume* (sum of member-vertex degrees).
 which is both the paper's ablation CLUGP-S (Fig 9) and the prior art the
 theorems compare against.
 
-The kernel is a plain Python loop over numpy state — the streaming model
-is inherently a stateful sequential scan, so there is nothing to gain from
-Catalyst here; Spark-level parallelism happens one level up, where each
-"distributed node" runs this kernel over its own substream
-(`repro.core.clugp.clugp_partition_spark`).
+The kernel is a plain Python loop over plain Python lists — the streaming
+model is inherently a stateful sequential scan, so there is nothing to
+gain from Catalyst here, and list indexing avoids numpy's per-scalar
+boxing; the state becomes numpy arrays once, on exit.  Spark-level
+parallelism happens one level up, where each "distributed node" runs this
+kernel over its own substream (`repro.core.clugp.clugp_partition_spark`).
 """
 from __future__ import annotations
 
@@ -84,42 +85,32 @@ def stream_cluster(
     """
     if v_max <= 0:
         raise ValueError(f"v_max must be positive, got {v_max}")
-    src, dst = stream.src, stream.dst
-    n = n_vertices or (int(max(src.max(), dst.max())) + 1 if len(src) else 0)
+    n = n_vertices or stream.id_bound
+    src, dst = stream.src.tolist(), stream.dst.tolist()
 
-    clu = np.full(n, -1, dtype=np.int64)
-    deg = np.zeros(n, dtype=np.int64)
-    # Cluster count is bounded by |V| (allocations) + |E|/1 splits in the
-    # worst case; grow geometrically instead of preallocating 2|E|.
-    vol = np.zeros(max(16, n), dtype=np.int64)
-    divided = np.zeros(n, dtype=bool)
+    clu = [-1] * n
+    deg = [0] * n
+    vol: list[int] = []  # cluster id -> volume; a new cluster appends
+    divided = [False] * n
     mirror_clusters: dict[int, list[int]] = {}
-    edge_cu = np.empty(len(src), dtype=np.int64)
-    edge_cv = np.empty(len(src), dtype=np.int64)
-    first_pos = np.zeros(n, dtype=np.int64)  # stream position of discovery
-    next_cluster = 0
+    edge_cu: list[int] = []
+    edge_cv: list[int] = []
+    first_pos = [0] * n  # stream position of discovery
 
-    def new_cluster() -> int:
-        nonlocal next_cluster, vol
-        if next_cluster >= len(vol):
-            vol = np.concatenate([vol, np.zeros(len(vol), dtype=np.int64)])
-        c = next_cluster
-        next_cluster += 1
-        return c
-
-    for i, (u, v) in enumerate(zip(src.tolist(), dst.tolist())):
+    for i, (u, v) in enumerate(zip(src, dst)):
         # -- allocation ---------------------------------------------------
         if clu[u] < 0:
-            clu[u] = new_cluster()
+            clu[u] = len(vol)
+            vol.append(0)
             first_pos[u] = i
         if clu[v] < 0:
-            clu[v] = new_cluster()
+            clu[v] = len(vol)
+            vol.append(0)
             first_pos[v] = i
-        c_u, c_v = clu[u], clu[v]
         deg[u] += 1
         deg[v] += 1
-        vol[c_u] += 1
-        vol[c_v] += 1
+        vol[clu[u]] += 1
+        vol[clu[v]] += 1
         # -- splitting (CLUGP only) --------------------------------------
         # Two stabilising guards on Alg 2's overflow check (DESIGN.md §6):
         # (a) deg < V_max — Theorem 2 assumes V_max = |E|/k > d_max; a
@@ -134,22 +125,15 @@ def stream_cluster(
         #     its edge history over churn clusters instead.
         if splitting:
             recent = i - split_recency * v_max
-            c_u = clu[u]
-            if vol[c_u] >= v_max and deg[u] < v_max and first_pos[u] >= recent:
-                c_new = new_cluster()
-                clu[u] = c_new
-                divided[u] = True
-                mirror_clusters.setdefault(int(u), []).append(int(c_u))
-                vol[c_u] -= deg[u]
-                vol[c_new] += deg[u]
-            c_v = clu[v]
-            if vol[c_v] >= v_max and deg[v] < v_max and first_pos[v] >= recent:
-                c_new = new_cluster()
-                clu[v] = c_new
-                divided[v] = True
-                mirror_clusters.setdefault(int(v), []).append(int(c_v))
-                vol[c_v] -= deg[v]
-                vol[c_new] += deg[v]
+            for w in (u, v):
+                c = clu[w]
+                d = deg[w]
+                if vol[c] >= v_max and d < v_max and first_pos[w] >= recent:
+                    clu[w] = len(vol)
+                    vol.append(d)
+                    vol[c] -= d
+                    divided[w] = True
+                    mirror_clusters.setdefault(w, []).append(c)
         # -- migration ----------------------------------------------------
         # Hollocou's rule: the endpoint in the smaller cluster joins the
         # bigger one, provided the merge respects the volume cap.
@@ -165,19 +149,19 @@ def stream_cluster(
                     clu[v] = c_u
                     vol[c_v] -= deg[v]
                     vol[c_u] += deg[v]
-        edge_cu[i] = clu[u]
-        edge_cv[i] = clu[v]
+        edge_cu.append(clu[u])
+        edge_cv.append(clu[v])
 
     return ClusteringResult(
-        clu=clu,
-        deg=deg,
-        vol=vol[:next_cluster].copy(),
-        n_clusters=next_cluster,
-        divided=divided,
+        clu=np.array(clu, dtype=np.int64),
+        deg=np.array(deg, dtype=np.int64),
+        vol=np.array(vol, dtype=np.int64),
+        n_clusters=len(vol),
+        divided=np.array(divided, dtype=bool),
         mirror_clusters=mirror_clusters,
         v_max=float(v_max),
-        edge_cu=edge_cu,
-        edge_cv=edge_cv,
+        edge_cu=np.array(edge_cu, dtype=np.int64),
+        edge_cv=np.array(edge_cv, dtype=np.int64),
     )
 
 

@@ -24,6 +24,7 @@ time next to the GIL-bound wall-clock (DESIGN.md §4).
 """
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -42,7 +43,7 @@ class GameResult:
     moves: int
     potential_trace: list[float] = field(default_factory=list)
     batch_times: list[float] = field(default_factory=list)
-    score_ops: int = 0  # partition-cost evaluations (m·k per sweep)
+    score_ops: int = 0  # paper-model cost evaluations: m·k per sweep
 
     def modeled_parallel_seconds(self, threads: int) -> float:
         """LPT-scheduled makespan of the recorded batch times on `threads`."""
@@ -69,17 +70,26 @@ def lambda_eq(sizes: np.ndarray, ext: np.ndarray, k: int) -> float:
 
 def resolve_lambda(lam, sizes: np.ndarray, ext: np.ndarray, k: int) -> float:
     """``lam`` may be 'max', 'eq', a float, or a relative weight tuple
-    ``('weight', w)`` mapping w∈(0,1) to (w/(1−w))·λ_eq (Fig 11(b))."""
+    ``('weight', w)`` mapping w∈(0,1) to (w/(1−w))·λ_eq (Fig 11(b)).
+
+    λ must come out finite and ≥ 0: the best response scores partitions
+    without neighbours through the lightest one, which is exact only when
+    cost does not decrease with load.
+    """
     if lam == "max":
-        return lambda_max(sizes, ext, k)
-    if lam == "eq":
-        return lambda_eq(sizes, ext, k)
-    if isinstance(lam, tuple) and lam[0] == "weight":
+        lam_v = lambda_max(sizes, ext, k)
+    elif lam == "eq":
+        lam_v = lambda_eq(sizes, ext, k)
+    elif isinstance(lam, tuple) and lam[0] == "weight":
         w = float(lam[1])
         if not 0.0 < w < 1.0:
             raise ValueError(f"relative weight must be in (0,1), got {w}")
-        return (w / (1.0 - w)) * lambda_eq(sizes, ext, k)
-    return float(lam)
+        lam_v = (w / (1.0 - w)) * lambda_eq(sizes, ext, k)
+    else:
+        lam_v = float(lam)
+    if not (math.isfinite(lam_v) and lam_v >= 0.0):
+        raise ValueError(f"λ must be finite and ≥ 0, got {lam_v}")
+    return lam_v
 
 
 def potential(assignment: np.ndarray, sizes: np.ndarray, adj, lam: float, k: int) -> float:
@@ -93,43 +103,58 @@ def potential(assignment: np.ndarray, sizes: np.ndarray, adj, lam: float, k: int
 
 
 def _best_response_pass(
-    clusters: np.ndarray,
-    assignment: np.ndarray,
-    loads: np.ndarray,
-    sizes: np.ndarray,
-    ext: np.ndarray,
+    clusters,
+    assignment: list[int],
+    loads: list[float],
+    sizes: list[int],
+    ext: list[float],
     adj,
     lam: float,
     k: int,
-    *,
-    commit: bool = True,
 ) -> int:
     """One round-robin sweep of best responses over ``clusters``.
 
-    Mutates ``assignment``/``loads`` in place when ``commit``; returns the
-    number of strategy changes.  Cost per cluster is O(|N(c_i)| + k)
-    (Theorem 3's Θ(m) per round amortised).
+    ``assignment``/``loads`` are lists mutated in place and ``adj`` is the
+    CSR triple as lists; returns the number of strategy changes.  Cost per
+    cluster is O(|N(c_i)|) (Theorem 3's Θ(m) per round): only the
+    partitions of c_i's neighbours, its current partition and the globally
+    lightest partition are scored.  That is exact for λ ≥ 0: a partition
+    holding no neighbour costs (λ/k)|c_i|(load+|c_i|) + ½·ext, which does
+    not decrease with load, so among those partitions the tie-break
+    (cost, load, id) always picks the lightest.
     """
     indptr, cols, ws = adj
+    scale = lam / k
+    lightest = loads.index(min(loads))  # min by (load, id)
     moves = 0
-    for i in clusters.tolist():
-        cut_p = np.zeros(k)
+    for i in clusters:
+        cut = {lightest: 0}  # candidate partition -> cut weight
         lo, hi = indptr[i], indptr[i + 1]
-        if hi > lo:
-            np.add.at(cut_p, assignment[cols[lo:hi]], ws[lo:hi])
+        for j, w in zip(cols[lo:hi], ws[lo:hi]):
+            p = assignment[j]
+            cut[p] = cut.get(p, 0) + w
         size_i = sizes[i]
+        ext_i = ext[i]
         cur = assignment[i]
-        load_wo = loads.astype(np.float64).copy()
-        load_wo[cur] -= size_i
-        cost = (lam / k) * size_i * (load_wo + size_i) + 0.5 * (ext[i] - cut_p)
+        load_cur = loads[cur] - size_i
+        cost_cur = scale * size_i * (load_cur + size_i) + 0.5 * (ext_i - cut.get(cur, 0))
         # Deterministic tie-breaks: lowest cost, then lightest load, then id.
-        best = int(np.lexsort((np.arange(k), load_wo, cost))[0])
-        if best != cur and cost[best] < cost[cur] - 1e-12:
+        # Costs are evaluated in the dense scorer's floating-point order.
+        best, best_key = cur, (cost_cur, load_cur, cur)
+        for p, cut_p in cut.items():
+            if p != cur:
+                key = (scale * size_i * (loads[p] + size_i) + 0.5 * (ext_i - cut_p), loads[p], p)
+                if key < best_key:
+                    best, best_key = p, key
+        if best != cur and best_key[0] < cost_cur - 1e-12:
             moves += 1
-            if commit:
-                assignment[i] = best
-                loads[cur] -= size_i
-                loads[best] += size_i
+            assignment[i] = best
+            loads[cur] = load_cur
+            loads[best] += size_i
+            if best == lightest:
+                lightest = loads.index(min(loads))
+            elif (load_cur, cur) < (loads[lightest], lightest):
+                lightest = cur
     return moves
 
 
@@ -159,25 +184,30 @@ def play_game(
     lam_v = resolve_lambda(lam, sizes, ext, k)
 
     rng = np.random.default_rng(seed)
-    assignment = rng.integers(0, k, m, dtype=np.int64)
-    loads = np.bincount(assignment, weights=sizes, minlength=k)
-    batches = [np.arange(s, min(s + batch_size, m)) for s in range(0, m, batch_size)]
+    assignment_np = rng.integers(0, k, m, dtype=np.int64)
+    # The sweeps run on lists: numpy scalar indexing costs more than the
+    # arithmetic it feeds.
+    assignment = assignment_np.tolist()
+    loads = np.bincount(assignment_np, weights=sizes, minlength=k).tolist()
+    sizes_l, ext_l = sizes.tolist(), ext.tolist()
+    adj_l = (indptr.tolist(), cols.tolist(), ws.tolist())
+    batches = [range(s, min(s + batch_size, m)) for s in range(0, m, batch_size)]
 
-    result = GameResult(assignment, loads, lam_v, rounds=0, moves=0)
+    result = GameResult(assignment_np, np.asarray(loads), lam_v, rounds=0, moves=0)
     if track_potential:
-        result.potential_trace.append(potential(assignment, sizes, adj, lam_v, k))
+        result.potential_trace.append(potential(assignment_np, sizes, adj, lam_v, k))
 
-    def run_batch(batch: np.ndarray) -> tuple[np.ndarray, float]:
+    def run_batch(batch: range) -> tuple[list[int], float]:
         # Thread-local game against a snapshot of the other batches (the
         # paper's independent-thread model); committed bulk-synchronously.
         t0 = time.perf_counter()
-        a_local = assignment.copy()
-        l_local = loads.copy().astype(np.float64)
+        a_local = list(assignment)
+        l_local = list(loads)
         for _ in range(max_rounds):
             result.score_ops += len(batch) * k
-            if _best_response_pass(batch, a_local, l_local, sizes, ext, adj, lam_v, k) == 0:
+            if _best_response_pass(batch, a_local, l_local, sizes_l, ext_l, adj_l, lam_v, k) == 0:
                 break
-        return a_local[batch], time.perf_counter() - t0
+        return [a_local[i] for i in batch], time.perf_counter() - t0
 
     for sweep in range(max_rounds):
         result.rounds += 1
@@ -188,31 +218,32 @@ def play_game(
                 outs = list(pool.map(run_batch, batches))
             for batch, (a_new, dt) in zip(batches, outs):
                 result.batch_times.append(dt)
-                for j, i in enumerate(batch.tolist()):
-                    if a_new[j] != assignment[i]:
+                for i, p in zip(batch, a_new):
+                    if p != assignment[i]:
                         moved += 1
-                        loads[assignment[i]] -= sizes[i]
-                        loads[a_new[j]] += sizes[i]
-                        assignment[i] = a_new[j]
+                        loads[assignment[i]] -= sizes_l[i]
+                        loads[p] += sizes_l[i]
+                        assignment[i] = p
         else:
             # Live sequential sweeps: every committed move strictly lowers
             # the potential Φ, so this phase terminates at an equilibrium
             # (bulk-synchronous snapshot commits could oscillate instead).
-            loads_f = loads.astype(np.float64)
             for batch in batches:
                 t0 = time.perf_counter()
                 moved += _best_response_pass(
-                    batch, assignment, loads_f, sizes, ext, adj, lam_v, k
+                    batch, assignment, loads, sizes_l, ext_l, adj_l, lam_v, k
                 )
                 result.batch_times.append(time.perf_counter() - t0)
                 result.score_ops += len(batch) * k
-            loads = loads_f
         result.moves += moved
         if track_potential:
-            result.potential_trace.append(potential(assignment, sizes, adj, lam_v, k))
+            result.potential_trace.append(
+                potential(np.asarray(assignment), sizes, adj, lam_v, k)
+            )
         if moved == 0:
             break
-    result.loads = loads
+    result.assignment = np.array(assignment, dtype=np.int64)
+    result.loads = np.array(loads, dtype=np.float64)
     return result
 
 

@@ -51,10 +51,12 @@ def transform(
         raise ValueError(f"imbalance factor τ must be ≥ 1, got {tau}")
     n_e = stream.n_edges
     l_max = tau * n_e / k
-    loads = np.zeros(k, dtype=np.int64)
-    clu, deg, divided = clustering.clu, clustering.deg, clustering.divided
+    loads = [0] * k
+    deg, divided = clustering.deg.tolist(), clustering.divided.tolist()
     a = cluster_partition
-    out = np.empty(n_e, dtype=np.int64)
+    out: list[int] = []
+    # Loads only grow, so the first underfull partition only moves right.
+    first_under = 0
 
     # Partitions holding pass-1 mirror copies of each divided vertex —
     # the O(1)-per-edge lookup behind Alg 1 lines 17–19 ("assign e to the
@@ -69,22 +71,19 @@ def transform(
     # Fig 2, where e(v,v₁) belongs to v's *new* cluster c₁ while v's
     # earlier edges stay with c₀ — the very mechanism by which splitting
     # concentrates a high-degree vertex's later edges in one place.
-    ecu = clustering.edge_cu
-    ecv = clustering.edge_cv
-    p_us = a[ecu]
-    p_vs = a[ecv]
+    p_us = a[clustering.edge_cu].tolist()
+    p_vs = a[clustering.edge_cv].tolist()
 
-    for i, (u, v) in enumerate(zip(stream.src.tolist(), stream.dst.tolist())):
-        p_u = int(p_us[i])
-        p_v = int(p_vs[i])
+    for u, v, p_u, p_v in zip(stream.src.tolist(), stream.dst.tolist(), p_us, p_vs):
         if loads[p_u] >= l_max or loads[p_v] >= l_max:
             if loads[p_u] < l_max:
                 p = p_u
             elif loads[p_v] < l_max:
                 p = p_v
             else:
-                under = np.flatnonzero(loads < l_max)
-                p = int(under[0]) if len(under) else int(np.argmin(loads))
+                while first_under < k and loads[first_under] >= l_max:
+                    first_under += 1
+                p = first_under if first_under < k else loads.index(min(loads))
         elif p_u == p_v:
             p = p_u
         elif divided[u] or divided[v]:
@@ -109,7 +108,11 @@ def transform(
             p = p_v
         else:
             p = p_u
-        out[i] = p
+        out.append(p)
         loads[p] += 1
 
-    return TransformResult(edge_partition=out, loads=loads, k=k)
+    return TransformResult(
+        edge_partition=np.array(out, dtype=np.int64),
+        loads=np.array(loads, dtype=np.int64),
+        k=k,
+    )

@@ -23,6 +23,7 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.graphs.generators import EdgeStream
+from repro.metrics.quality import replica_keys
 
 
 @dataclass(frozen=True)
@@ -103,11 +104,8 @@ def layout_local(stream: EdgeStream, edge_partition: np.ndarray, k: int) -> Grap
     Tests assert it agrees with the Spark version; the table harnesses use
     it to avoid one Spark job per sweep point.
     """
-    v = np.concatenate([stream.src, stream.dst]).astype(np.int64)
-    p = np.concatenate([edge_partition, edge_partition]).astype(np.int64)
-    vp = np.unique(v * np.int64(k) + p)          # distinct (v, partition)
+    n_vertices, vp = replica_keys(stream, edge_partition, k)  # distinct (v, partition)
     vs, ps = vp // k, vp % k
-    n_vertices = len(np.unique(vs))
     # Master = min partition per vertex; vp is sorted so the first copy of
     # each vertex is its master.
     is_first = np.ones(len(vp), dtype=bool)

@@ -73,9 +73,14 @@ class EdgeStream:
         idx = np.random.default_rng(seed).permutation(self.n_edges)
         return EdgeStream(self.src[idx], self.dst[idx])
 
+    @property
+    def id_bound(self) -> int:
+        """``max id + 1``, the length of an array indexed by vertex id (0 if empty)."""
+        return int(max(self.src.max(initial=-1), self.dst.max(initial=-1))) + 1
+
     def degrees(self) -> np.ndarray:
         """Total (in+out) degree per vertex id, length = max id + 1."""
-        n = int(max(self.src.max(), self.dst.max())) + 1
+        n = self.id_bound
         return np.bincount(self.src, minlength=n) + np.bincount(self.dst, minlength=n)
 
     def to_pandas(self) -> pd.DataFrame:

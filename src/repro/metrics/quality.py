@@ -60,6 +60,22 @@ def quality(assign: DataFrame, k: int) -> dict:
     }
 
 
+def replica_keys(
+    stream: EdgeStream, edge_partition: np.ndarray, k: int
+) -> tuple[int, np.ndarray]:
+    """Numpy form of ``replicas``: ``(n_vertices, sorted distinct keys)``.
+
+    Each (v, partition) copy is packed as ``index(v)·k + partition``, where
+    ``index(v)`` is v's rank among the distinct ids, so the key cannot
+    overflow whatever the ids are.  Sorting by key sorts by vertex, then
+    partition.
+    """
+    v = np.concatenate([stream.src, stream.dst])
+    p = np.concatenate([edge_partition, edge_partition]).astype(np.int64)
+    ids, index = np.unique(v, return_inverse=True)
+    return len(ids), np.unique(index.astype(np.int64) * k + p)
+
+
 def quality_local(stream: EdgeStream, edge_partition: np.ndarray, k: int) -> dict:
     """Driver-side (numpy) version of ``quality`` for tight sweep loops.
 
@@ -67,11 +83,8 @@ def quality_local(stream: EdgeStream, edge_partition: np.ndarray, k: int) -> dic
     sweeps (dozens of partitioner runs per table) use this to avoid paying
     a Spark job per point.
     """
-    key = np.concatenate([stream.src, stream.dst]).astype(np.int64) * np.int64(
-        2**20
-    ) + np.concatenate([edge_partition, edge_partition])
-    n_replicas = len(np.unique(key))
-    n_vertices = stream.n_vertices
+    n_vertices, keys = replica_keys(stream, edge_partition, k)
+    n_replicas = len(keys)
     loads = np.bincount(edge_partition, minlength=k)
     n_e = int(loads.sum())
     return {

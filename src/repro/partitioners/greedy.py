@@ -22,7 +22,7 @@ from repro.partitioners.base import PartitionResult, register, timed
 @register("greedy")
 def greedy_partition(stream: EdgeStream, k: int, *, seed: int = 0) -> PartitionResult:
     def run() -> PartitionResult:
-        n = int(max(stream.src.max(), stream.dst.max())) + 1
+        n = stream.id_bound
         rep = np.zeros((n, k), dtype=bool)  # P(v) membership table
         loads = np.zeros(k, dtype=np.int64)
         out = np.empty(stream.n_edges, dtype=np.int64)

@@ -47,7 +47,7 @@ def dbh_partition(stream: EdgeStream, k: int, *, seed: int = 0) -> PartitionResu
     """Degree-Based Hashing: hash the lower-partial-degree endpoint."""
 
     def run() -> PartitionResult:
-        n = int(max(stream.src.max(), stream.dst.max())) + 1
+        n = stream.id_bound
         # Partial degree of u at the moment edge i arrives = number of
         # earlier occurrences of u among all endpoints.  Computed as the
         # running occurrence index of each endpoint in the interleaved

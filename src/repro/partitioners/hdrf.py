@@ -27,7 +27,7 @@ def hdrf_partition(
     stream: EdgeStream, k: int, *, lam: float = 1.0, eps: float = 1.0, seed: int = 0
 ) -> PartitionResult:
     def run() -> PartitionResult:
-        n = int(max(stream.src.max(), stream.dst.max())) + 1
+        n = stream.id_bound
         rep = np.zeros((n, k), dtype=bool)
         deg = np.zeros(n, dtype=np.int64)
         loads = np.zeros(k, dtype=np.int64)

@@ -236,3 +236,13 @@ def test_score_ops_counted(small_web):
     sizes, adj = _clustered(small_web, 8)
     g = play_game(sizes, adj, 8, seed=0)
     assert g.score_ops >= len(sizes) * 8  # at least one full sweep
+
+
+@pytest.mark.parametrize("lam", [-1.0, -1e-9, float("inf"), float("nan")])
+def test_resolve_lambda_rejects_negative_or_non_finite(lam):
+    with pytest.raises(ValueError, match="finite and ≥ 0"):
+        resolve_lambda(lam, np.ones(2, dtype=np.int64), np.ones(2), 2)
+
+
+def test_resolve_lambda_accepts_zero():
+    assert resolve_lambda(0.0, np.ones(2, dtype=np.int64), np.ones(2), 2) == 0.0

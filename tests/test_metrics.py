@@ -3,6 +3,8 @@ driver-side (numpy) fast path vs the Spark path."""
 import numpy as np
 import pytest
 
+from repro.engine.gas import layout_local
+from repro.graphs.generators import EdgeStream
 from repro.metrics.quality import (
     assignment_df,
     quality,
@@ -100,3 +102,14 @@ def test_single_partition_rf_is_one(tiny_web):
     q = quality_local(tiny_web, parts, 1)
     assert q["replication_factor"] == 1.0
     assert q["relative_balance"] == 1.0
+
+
+@pytest.mark.parametrize("algo", ["hashing", "clugp"])
+def test_local_metrics_independent_of_id_magnitude(tiny_web, algo):
+    """Ids × 2⁴⁰ name the same graph: RF, replicas and layout must not move."""
+    parts = get_partitioner(algo)(tiny_web, 8).edge_partition
+    shifted = EdgeStream(tiny_web.src << 40, tiny_web.dst << 40)
+    q, q_big = quality_local(tiny_web, parts, 8), quality_local(shifted, parts, 8)
+    assert q_big["replication_factor"] == q["replication_factor"]
+    assert q_big["n_replicas"] == q["n_replicas"]
+    assert layout_local(shifted, parts, 8) == layout_local(tiny_web, parts, 8)

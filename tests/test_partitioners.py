@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.harness import ordered_stream
+from repro.graphs.generators import EdgeStream
 from repro.metrics.quality import quality_local
 from repro.partitioners import all_partitioners, get_partitioner
 from repro.partitioners.base import PartitionResult
@@ -172,3 +173,10 @@ def test_score_ops_ordering(small_web):
     assert ops["hashing"] <= ops["dbh"] <= ops["clugp"]
     assert ops["clugp"] < ops["hdrf"] / 2
     assert ops["hdrf"] == ops["greedy"] == small_web.n_edges * k
+
+
+@pytest.mark.parametrize("algo", all_partitioners())
+def test_empty_stream_gives_empty_assignment(algo):
+    empty = EdgeStream(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    res = get_partitioner(algo)(empty, 4)
+    assert len(res.edge_partition) == 0
