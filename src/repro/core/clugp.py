@@ -52,7 +52,6 @@ def clugp_partition(
     v_max: float | None = None,
     lam="max",
     batch_size: int = 6400,
-    threads: int = 1,
     seed: int = 0,
     splitting: bool = True,
     game: bool = True,
@@ -73,10 +72,7 @@ def clugp_partition(
     t1 = time.perf_counter()
     sizes, adj = cluster_graph(clus)
     if game:
-        g = play_game(
-            sizes, adj, k,
-            lam=lam, batch_size=batch_size, threads=threads, seed=seed,
-        )
+        g = play_game(sizes, adj, k, lam=lam, batch_size=batch_size, seed=seed)
     else:
         g = greedy_assign(sizes, k)
     t2 = time.perf_counter()

@@ -15,18 +15,16 @@ Loads are tracked as Σ of member clusters' intra-edge counts — the measure
 under which the exact-potential identity ΔΦ ≡ Δφ holds (see DESIGN.md §6);
 the inter-cluster edges that end up co-located are assigned in pass 3.
 
-Parallelisation (paper §V-D): clusters are grouped into ID-contiguous
-batches (locality: BFS clustering makes nearby IDs structurally adjacent);
-each batch runs its own best-response game against a snapshot of the other
-batches' assignments, bulk-synchronously, optionally on a thread pool. Per
-batch wall-times are recorded so Fig 10 can report a *modeled* parallel
-time next to the GIL-bound wall-clock (DESIGN.md §4).
+Parallelisation (paper §V-D): the paper hands ID-contiguous cluster
+batches to threads.  Here every batch runs sequentially on the live state,
+so the result does not depend on the batch size; each batch's wall time is
+recorded, and Fig 10 models the thread sweep as the ``lpt_makespan`` of
+that profile (Python's GIL would serialise real threads; DESIGN.md §4).
 """
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,14 +43,14 @@ class GameResult:
     batch_times: list[float] = field(default_factory=list)
     score_ops: int = 0  # paper-model cost evaluations: m·k per sweep
 
-    def modeled_parallel_seconds(self, threads: int) -> float:
-        """LPT-scheduled makespan of the recorded batch times on `threads`."""
-        if not self.batch_times:
-            return 0.0
-        lanes = np.zeros(max(1, threads))
-        for t in sorted(self.batch_times, reverse=True):
-            lanes[np.argmin(lanes)] += t
-        return float(lanes.max())
+
+def lpt_makespan(batch_times: list[float], threads: int) -> float:
+    """Makespan of ``batch_times`` scheduled longest-first onto the
+    least-loaded of ``threads`` lanes (LPT): Fig 10's modeled game time."""
+    lanes = [0.0] * max(1, threads)
+    for t in sorted(batch_times, reverse=True):
+        lanes[lanes.index(min(lanes))] += t
+    return max(lanes)
 
 
 def lambda_max(sizes: np.ndarray, ext: np.ndarray, k: int) -> float:
@@ -165,17 +163,18 @@ def play_game(
     *,
     lam="max",
     batch_size: int = 6400,
-    threads: int = 1,
     max_rounds: int = 64,
     seed: int = 0,
     track_potential: bool = False,
 ) -> GameResult:
     """Find a Nash equilibrium of the cluster-partitioning game.
 
-    Batches of ``batch_size`` ID-contiguous clusters run local best-response
-    games bulk-synchronously (each against a snapshot of the others);
-    super-rounds repeat until no cluster moves, which the exact-potential
-    property guarantees to terminate (Theorem 6 bounds the rounds).
+    Each sweep runs best responses over the clusters in ID order, on the
+    live assignment, one batch of ``batch_size`` ID-contiguous clusters at a
+    time; ``batch_size`` only sets how the per-batch wall times in
+    ``batch_times`` are split up.  Every committed move strictly lowers the
+    potential Φ, so sweeps repeat until no cluster moves (Theorem 6 bounds
+    the rounds).
     """
     m = len(sizes)
     indptr, cols, ws = adj
@@ -197,44 +196,16 @@ def play_game(
     if track_potential:
         result.potential_trace.append(potential(assignment_np, sizes, adj, lam_v, k))
 
-    def run_batch(batch: range) -> tuple[list[int], float]:
-        # Thread-local game against a snapshot of the other batches (the
-        # paper's independent-thread model); committed bulk-synchronously.
-        t0 = time.perf_counter()
-        a_local = list(assignment)
-        l_local = list(loads)
-        for _ in range(max_rounds):
-            result.score_ops += len(batch) * k
-            if _best_response_pass(batch, a_local, l_local, sizes_l, ext_l, adj_l, lam_v, k) == 0:
-                break
-        return [a_local[i] for i in batch], time.perf_counter() - t0
-
-    for sweep in range(max_rounds):
+    for _ in range(max_rounds):
         result.rounds += 1
         moved = 0
-        if threads > 1 and len(batches) > 1 and sweep == 0:
-            # Parallel phase: one concurrent equilibrium pass per batch.
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outs = list(pool.map(run_batch, batches))
-            for batch, (a_new, dt) in zip(batches, outs):
-                result.batch_times.append(dt)
-                for i, p in zip(batch, a_new):
-                    if p != assignment[i]:
-                        moved += 1
-                        loads[assignment[i]] -= sizes_l[i]
-                        loads[p] += sizes_l[i]
-                        assignment[i] = p
-        else:
-            # Live sequential sweeps: every committed move strictly lowers
-            # the potential Φ, so this phase terminates at an equilibrium
-            # (bulk-synchronous snapshot commits could oscillate instead).
-            for batch in batches:
-                t0 = time.perf_counter()
-                moved += _best_response_pass(
-                    batch, assignment, loads, sizes_l, ext_l, adj_l, lam_v, k
-                )
-                result.batch_times.append(time.perf_counter() - t0)
-                result.score_ops += len(batch) * k
+        for batch in batches:
+            t0 = time.perf_counter()
+            moved += _best_response_pass(
+                batch, assignment, loads, sizes_l, ext_l, adj_l, lam_v, k
+            )
+            result.batch_times.append(time.perf_counter() - t0)
+            result.score_ops += len(batch) * k
         result.moves += moved
         if track_potential:
             result.potential_trace.append(

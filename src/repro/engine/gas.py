@@ -23,7 +23,7 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.graphs.generators import EdgeStream
-from repro.metrics.quality import replica_keys
+from repro.metrics.quality import replica_keys, replicas
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,8 @@ def replica_table(assign: DataFrame) -> DataFrame:
     PowerGraph hashes masters to machines; the deterministic min-partition
     rule is equivalent for counting purposes and reproducible.
     """
-    copies = (
-        assign.select(F.col("src").alias("v"), "partition")
-        .unionAll(assign.select(F.col("dst").alias("v"), "partition"))
-        .distinct()
-    )
     w = F.min("partition").over(Window.partitionBy("v"))
-    return copies.withColumn("is_master", F.col("partition") == w)
+    return replicas(assign).withColumn("is_master", F.col("partition") == w)
 
 
 def layout(assign: DataFrame, k: int) -> GraphLayout:

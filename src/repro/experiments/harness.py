@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.graphs.generators import EdgeStream, dataset
+from repro.graphs.generators import EdgeStream
 from repro.metrics.quality import quality_local
 from repro.partitioners import get_partitioner
 
@@ -78,11 +78,6 @@ def sweep(
             row.pop("_extra", None)
             rows.append(row)
     return pd.DataFrame(rows)
-
-
-def bench_dataset(name: str, *, sf: float) -> EdgeStream:
-    """Named Table-III stand-in at the requested scale factor."""
-    return dataset(name, sf=sf)
 
 
 def rf_growth(df: pd.DataFrame, algo: str) -> float:

@@ -10,10 +10,10 @@ next to the paper's reported numbers.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 
 from repro.core.clugp import clugp_partition
+from repro.core.game import lpt_makespan
 from repro.engine.costmodel import CostModel, simulate
 from repro.engine.gas import layout_local
 from repro.experiments.harness import DISPLAY, ordered_stream, run_point, sweep
@@ -173,43 +173,33 @@ def f10_parallel(
 ) -> pd.DataFrame:
     """Fig 10: game parallelisation — thread sweep and batch-size sweep.
 
-    Reports wall seconds and the modeled parallel makespan of the game's
-    batch work (DESIGN.md §4: Python's GIL caps wall-clock scaling, the
-    modeled time preserves the work-partitioning shape).
+    The thread sweep comes from one run: its per-batch game times are
+    scheduled onto ``t`` threads by ``lpt_makespan`` (DESIGN.md §4: Python's
+    GIL caps wall-clock scaling, the modeled time preserves the
+    work-partitioning shape), so every thread row shares the run's wall
+    seconds and RF.
     """
     stream = dataset("uk", sf=sf)
     rows = []
-    # One single-threaded run yields the per-batch work profile; the
-    # thread sweep is modeled as an LPT makespan over that profile
-    # (Python's GIL inflates *measured* per-batch times under real
-    # threading — DESIGN.md §4 — so the threaded wall-clock is reported
-    # for reference, not for the scaling curve).
-    base = clugp_partition(stream, k, threads=1, batch_size=batch_sizes[2])
-    base_q = quality_local(stream, base.edge_partition, k)
+    base = clugp_partition(stream, k, batch_size=batch_sizes[2])
+    base_rf = round(quality_local(stream, base.edge_partition, k)["replication_factor"], 4)
+    streaming_s = base.phase_seconds["clustering"] + base.phase_seconds["transform"]
     for t in threads:
-        res = base if t == 1 else clugp_partition(
-            stream, k, threads=t, batch_size=batch_sizes[2]
-        )
-        lanes = np.zeros(max(1, t))
-        for bt in sorted(base.batch_times, reverse=True):
-            lanes[np.argmin(lanes)] += bt
-        streaming_s = base.phase_seconds["clustering"] + base.phase_seconds["transform"]
+        game_s = lpt_makespan(base.batch_times, t)
         rows.append(
             {
                 "sweep": "threads",
                 "value": t,
                 "batch_size": batch_sizes[2],
-                "wall_s": round(res.total_seconds(), 4),
-                "game_wall_s": round(res.phase_seconds["game"], 4),
-                "modeled_game_s": round(float(lanes.max()), 4),
-                "modeled_total_s": round(streaming_s + float(lanes.max()), 4),
-                "replication_factor": round(
-                    quality_local(stream, res.edge_partition, k)["replication_factor"], 4
-                ),
+                "wall_s": round(base.total_seconds(), 4),
+                "game_wall_s": round(base.phase_seconds["game"], 4),
+                "modeled_game_s": round(game_s, 4),
+                "modeled_total_s": round(streaming_s + game_s, 4),
+                "replication_factor": base_rf,
             }
         )
     for b in batch_sizes:
-        res = clugp_partition(stream, k, threads=1, batch_size=b)
+        res = clugp_partition(stream, k, batch_size=b)
         rows.append(
             {
                 "sweep": "batch_size",

@@ -70,11 +70,6 @@ def timed(fn: Callable[[], PartitionResult]) -> PartitionResult:
     return res
 
 
-def replica_table_bytes(replicas: dict[int, int]) -> int:
-    """Bytes of a vertex→partition-bitmask replica table (8B mask + 8B key)."""
-    return 16 * len(replicas)
-
-
 def partition_spark(edges: DataFrame, name: str, k: int, **kwargs) -> DataFrame:
     """Run partitioner ``name`` over a ``(pos,src,dst)`` DataFrame.
 

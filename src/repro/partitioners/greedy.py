@@ -20,7 +20,7 @@ from repro.partitioners.base import PartitionResult, register, timed
 
 
 @register("greedy")
-def greedy_partition(stream: EdgeStream, k: int, *, seed: int = 0) -> PartitionResult:
+def greedy_partition(stream: EdgeStream, k: int) -> PartitionResult:
     def run() -> PartitionResult:
         n = stream.id_bound
         rep = np.zeros((n, k), dtype=bool)  # P(v) membership table

@@ -24,7 +24,7 @@ from repro.partitioners.base import PartitionResult, register, timed
 
 @register("hdrf")
 def hdrf_partition(
-    stream: EdgeStream, k: int, *, lam: float = 1.0, eps: float = 1.0, seed: int = 0
+    stream: EdgeStream, k: int, *, lam: float = 1.0, eps: float = 1.0
 ) -> PartitionResult:
     def run() -> PartitionResult:
         n = stream.id_bound

@@ -31,7 +31,7 @@ GOLDEN = [
     ("uk", 0.002, 64, {"lam": "eq"}, "c2562df265c908f422689033e3c592172e275e32281802d77c4df520b5510ab6"),
     ("it", 0.001, 16, {"lam": 0.0}, "fc0681df95d2ef7122b88ffb66c5cf4c2d8dd8813813808f5edbaf811bfa942a"),
     ("uk", 0.002, 8, {"lam": ("weight", 0.1), "seed": 1}, "4dbff2b9b21d5d056790242460afa7cc74a31213bf2b1a44e6f794875cc10b47"),
-    ("it", 0.001, 16, {"threads": 2, "batch_size": 64}, "66b5f19064462fda8441b6866e8d67363d46615a4a522018ffbd1e5badc09744"),
+    ("it", 0.001, 16, {"batch_size": 64}, "611bb1aa7c44f9161361755263dca9a7c9ce5f27773eb66d32a0b9c61207979c"),
 ]
 
 

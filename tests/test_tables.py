@@ -118,9 +118,15 @@ def test_f9_runner():
 
 
 def test_f10_runner():
-    df = T.f10_parallel(sf=0.002, k=4, threads=(1, 2), batch_sizes=(64, 256, 1024, 4096))
+    df = T.f10_parallel(sf=0.002, k=4, threads=(1, 2, 4), batch_sizes=(64, 256, 1024, 4096))
     assert set(df.sweep) == {"threads", "batch_size"}
     assert (df.wall_s > 0).all()
+    # The thread rows are one run, modeled: one RF, one wall time, and a
+    # makespan that never grows with threads.
+    rows = df[df.sweep == "threads"].sort_values("value")
+    assert rows.replication_factor.nunique() == 1
+    assert rows.wall_s.nunique() == 1
+    assert rows.modeled_game_s.is_monotonic_decreasing
 
 
 def test_f11_runner():
