@@ -1,14 +1,10 @@
-"""Shared plumbing for the spark-submit job entrypoints.
+"""The Spark session settings of the job entrypoints.
 
-Jobs are thin wrappers: parse args, get/create the session, call the
-table runner from ``repro.experiments.tables``, print the table.  Under
-``spark-submit jobs/<name>.py`` the session comes from the submit
-context; run directly (``python jobs/<name>.py``) they self-bootstrap a
+Under ``spark-submit jobs/<name>.py`` the session comes from the submit
+context; run directly (``python jobs/<name>.py``) a job self-bootstraps a
 local session with the same conf as conftest.py.
 """
 from __future__ import annotations
-
-import argparse
 
 from pyspark.sql import SparkSession
 
@@ -22,21 +18,3 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.ui.enabled", "false")
         .getOrCreate()
     )
-
-
-def table_main(table_id: str, description: str, **default_kwargs) -> None:
-    """Run one registered table at a CLI-selectable scale and print it."""
-    from repro.experiments.harness import to_markdown
-    from repro.experiments.paper_numbers import PAPER_CLAIMS
-    from repro.experiments.tables import TABLES
-
-    ap = argparse.ArgumentParser(description=description)
-    ap.add_argument("--sf", type=float, default=default_kwargs.pop("sf", 0.05))
-    args = ap.parse_args()
-
-    df = TABLES[table_id](sf=args.sf, **default_kwargs)
-    print(f"\n== {table_id}: {description} (sf={args.sf}) ==")
-    print(to_markdown(df))
-    print("\nPaper claims to diff against:")
-    for claim in PAPER_CLAIMS.get(table_id, []):
-        print(f"  - {claim}")

@@ -49,7 +49,6 @@ def clugp_partition(
     k: int,
     *,
     tau: float = 1.0,
-    v_max: float | None = None,
     lam="max",
     batch_size: int = 6400,
     seed: int = 0,
@@ -65,10 +64,9 @@ def clugp_partition(
     """
     if k < 1:
         raise ValueError(f"k must be ≥ 1, got {k}")
-    v_max = v_max if v_max is not None else max(1.0, stream.n_edges / k)
 
     t0 = time.perf_counter()
-    clus = stream_cluster(stream, v_max=v_max, splitting=splitting)
+    clus = stream_cluster(stream, v_max=max(1.0, stream.n_edges / k), splitting=splitting)
     t1 = time.perf_counter()
     sizes, adj = cluster_graph(clus)
     if game:

@@ -32,6 +32,10 @@ import numpy as np
 
 from repro.graphs.generators import EdgeStream
 
+#: Splitting's recency guard (DESIGN.md §6): only a vertex discovered within
+#: the last ``SPLIT_RECENCY·V_max`` stream positions may be split out.
+SPLIT_RECENCY = 1.0
+
 
 @dataclass
 class ClusteringResult:
@@ -74,7 +78,6 @@ def stream_cluster(
     *,
     v_max: float,
     splitting: bool = True,
-    split_recency: float = 1.0,
     n_vertices: int | None = None,
 ) -> ClusteringResult:
     """Run Algorithm 2 over ``stream`` with maximum cluster volume ``v_max``.
@@ -124,7 +127,7 @@ def stream_cluster(
         #     the BFS frontier. Splitting a long-settled vertex scatters
         #     its edge history over churn clusters instead.
         if splitting:
-            recent = i - split_recency * v_max
+            recent = i - SPLIT_RECENCY * v_max
             for w in (u, v):
                 c = clu[w]
                 d = deg[w]
@@ -165,7 +168,7 @@ def stream_cluster(
     )
 
 
-def cluster_graph(clustering: ClusteringResult, n_clusters: int | None = None):
+def cluster_graph(clustering: ClusteringResult):
     """Collapse the edge stream onto clusters (input of pass 2).
 
     Uses the *stream-time* endpoint clusters recorded by Algorithm 2.
@@ -175,7 +178,7 @@ def cluster_graph(clustering: ClusteringResult, n_clusters: int | None = None):
     edges in *both* directions (the game cost uses
     ``|e(c_i,V∖a_i)| + |e(V∖a_i,c_i)|``, i.e. the symmetrised count).
     """
-    n_clusters = n_clusters or clustering.n_clusters
+    n_clusters = clustering.n_clusters
     cu, cv = clustering.edge_cu, clustering.edge_cv
     if cu is None or np.any(cu < 0) or np.any(cv < 0):
         raise ValueError("cluster_graph: stream contains unclustered vertices")

@@ -29,6 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+#: Cap on best-response sweeps; Theorem 6 bounds the rounds well below it.
+MAX_ROUNDS = 64
+
 
 @dataclass
 class GameResult:
@@ -163,7 +166,6 @@ def play_game(
     *,
     lam="max",
     batch_size: int = 6400,
-    max_rounds: int = 64,
     seed: int = 0,
     track_potential: bool = False,
 ) -> GameResult:
@@ -196,7 +198,7 @@ def play_game(
     if track_potential:
         result.potential_trace.append(potential(assignment_np, sizes, adj, lam_v, k))
 
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         result.rounds += 1
         moved = 0
         for batch in batches:

@@ -1,35 +1,9 @@
-"""Dataset statistics (Table III stand-in) computed with Spark SQL."""
+"""Degree-distribution statistics of an edge stream."""
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from .generators import EdgeStream
-
-
-def describe(edges: DataFrame) -> dict:
-    """|V|, |E|, max degree, and mean degree of an edge DataFrame.
-
-    ``edges`` must have ``src``/``dst`` columns. Runs as two Spark jobs
-    (edge count + vertex/degree aggregate over the exploded endpoints).
-    """
-    n_e = edges.count()
-    verts = edges.select(F.col("src").alias("v")).unionAll(
-        edges.select(F.col("dst").alias("v"))
-    )
-    deg = verts.groupBy("v").agg(F.count("*").alias("deg"))
-    row = deg.agg(
-        F.count("*").alias("n_v"),
-        F.max("deg").alias("max_deg"),
-        F.avg("deg").alias("avg_deg"),
-    ).collect()[0]
-    return {
-        "n_vertices": int(row["n_v"]),
-        "n_edges": int(n_e),
-        "max_degree": int(row["max_deg"]),
-        "avg_degree": float(row["avg_deg"]),
-    }
 
 
 def powerlaw_alpha(stream: EdgeStream, *, d_min: int = 2) -> float:

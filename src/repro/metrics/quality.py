@@ -1,25 +1,27 @@
-"""Partition-quality metrics (paper §II-B), computed with Spark SQL.
+"""Partition-quality metrics (paper §II-B) from one per-partition counts relation.
 
 Replication factor RF = (1/|V|)·Σ_v |P(v)| where P(v) is the set of
 partitions holding a copy of v (master or mirror), and relative load
-balance = k·max|p|/|E|.  Both are pure functions of the
-``(pos,src,dst,partition)`` assignment relation, so tests cross-check the
-Spark aggregations against DuckDB via ``repro.oracle.assert_equivalent``.
+balance = k·max|p|/|E|.  Both, like the GAS layout of ``repro.engine.gas``,
+are functions of three counts per partition: edges, vertex copies, and
+masters (each vertex's min-partition copy).  Spark (``collect_counts``)
+and numpy (``partition_counts_local``) build the same ``(3, k)`` array;
+``quality_from_counts`` derives the metrics from it.  Tests cross-check
+the Spark relation against DuckDB via ``repro.oracle.assert_equivalent``.
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.graphs.generators import EdgeStream
-
 
 def assignment_df(spark, stream: EdgeStream, edge_partition: np.ndarray) -> DataFrame:
     """Wrap a kernel result into the canonical assignment relation."""
     pdf = stream.to_pandas()
     pdf["partition"] = edge_partition.astype("int64")
-    return spark.createDataFrame(pdf)
+    return spark.createDataFrame(pdf, schema="pos long, src long, dst long, partition long")
 
 
 def replicas(assign: DataFrame) -> DataFrame:
@@ -31,67 +33,78 @@ def replicas(assign: DataFrame) -> DataFrame:
     )
 
 
-def replication_factor_df(assign: DataFrame) -> DataFrame:
-    """Single-row DataFrame with the RF (kept as a DF for oracle checks)."""
-    rep = replicas(assign)
-    return rep.agg(
-        (F.count("*") / F.countDistinct("v")).alias("replication_factor")
+def partition_counts(assign: DataFrame) -> DataFrame:
+    """``(partition, edges, copies, masters)``: one row per used partition.
+
+    A vertex's master is its min-partition copy.  PowerGraph hashes masters
+    to machines; the deterministic rule gives the same counts and is
+    reproducible.
+    """
+    is_master = F.col("partition") == F.min("partition").over(Window.partitionBy("v"))
+    copies = (
+        replicas(assign)
+        .withColumn("is_master", is_master)
+        .groupBy("partition")
+        .agg(F.count("*").alias("copies"), F.count(F.when(F.col("is_master"), 1)).alias("masters"))
     )
+    edges = assign.groupBy("partition").agg(F.count("*").alias("edges"))
+    return edges.join(copies, "partition")
 
 
-def quality(assign: DataFrame, k: int) -> dict:
-    """RF, relative balance, counts — one pass of Spark aggregates."""
-    rep = replicas(assign).agg(
-        F.count("*").alias("n_replicas"), F.countDistinct("v").alias("n_vertices")
-    ).collect()[0]
-    loads = (
-        assign.groupBy("partition").agg(F.count("*").alias("sz")).collect()
-    )
-    sizes = {int(r["partition"]): int(r["sz"]) for r in loads}
-    n_e = sum(sizes.values())
-    max_sz = max(sizes.values()) if sizes else 0
-    return {
-        "replication_factor": rep["n_replicas"] / rep["n_vertices"],
-        "relative_balance": k * max_sz / n_e if n_e else 1.0,
-        "n_vertices": int(rep["n_vertices"]),
-        "n_replicas": int(rep["n_replicas"]),
-        "n_edges": n_e,
-        "n_partitions_used": len(sizes),
-    }
+def collect_counts(assign: DataFrame, k: int) -> np.ndarray:
+    """``partition_counts`` as a ``(3, k)`` int64 array, in one ``collect()``."""
+    counts = np.zeros((3, k), dtype=np.int64)
+    for r in partition_counts(assign).collect():
+        counts[:, r["partition"]] = r["edges"], r["copies"], r["masters"]
+    return counts
 
 
-def replica_keys(
+def partition_counts_local(
     stream: EdgeStream, edge_partition: np.ndarray, k: int
-) -> tuple[int, np.ndarray]:
-    """Numpy form of ``replicas``: ``(n_vertices, sorted distinct keys)``.
+) -> np.ndarray:
+    """Driver-side (numpy) twin of ``collect_counts``: ``(3, k)`` int64.
 
     Each (v, partition) copy is packed as ``index(v)·k + partition``, where
     ``index(v)`` is v's rank among the distinct ids, so the key cannot
-    overflow whatever the ids are.  Sorting by key sorts by vertex, then
-    partition.
+    overflow whatever the ids are.  Distinct keys sort by vertex, then
+    partition: a vertex's first copy is its master.
     """
-    v = np.concatenate([stream.src, stream.dst])
+    _, index = np.unique(np.concatenate([stream.src, stream.dst]), return_inverse=True)
     p = np.concatenate([edge_partition, edge_partition]).astype(np.int64)
-    ids, index = np.unique(v, return_inverse=True)
-    return len(ids), np.unique(index.astype(np.int64) * k + p)
+    vs, ps = np.divmod(np.unique(index.astype(np.int64) * k + p), k)
+    is_master = np.diff(vs, prepend=-1) != 0
+    return np.stack([
+        np.bincount(edge_partition, minlength=k),
+        np.bincount(ps, minlength=k),
+        np.bincount(ps[is_master], minlength=k),
+    ]).astype(np.int64)
+
+
+def replication_factor(n_replicas: int, n_vertices: int) -> float:
+    """Σ_v |P(v)| / |V|; 1.0 for a graph with no vertices."""
+    return n_replicas / n_vertices if n_vertices else 1.0
+
+
+def quality_from_counts(counts: np.ndarray) -> dict:
+    """RF, relative balance and totals from a ``(3, k)`` counts array."""
+    edges, copies, masters = counts
+    k, n_e = len(edges), int(edges.sum())
+    n_vertices, n_replicas = int(masters.sum()), int(copies.sum())
+    return {
+        "replication_factor": replication_factor(n_replicas, n_vertices),
+        "relative_balance": k * int(edges.max()) / n_e if n_e else 1.0,
+        "n_vertices": n_vertices,
+        "n_replicas": n_replicas,
+        "n_edges": n_e,
+        "n_partitions_used": int((edges > 0).sum()),
+    }
+
+
+def quality(assign: DataFrame, k: int) -> dict:
+    """RF, relative balance and totals of a Spark assignment (one collect)."""
+    return quality_from_counts(collect_counts(assign, k))
 
 
 def quality_local(stream: EdgeStream, edge_partition: np.ndarray, k: int) -> dict:
-    """Driver-side (numpy) version of ``quality`` for tight sweep loops.
-
-    Equivalence with the Spark version is asserted in the test suite; the
-    sweeps (dozens of partitioner runs per table) use this to avoid paying
-    a Spark job per point.
-    """
-    n_vertices, keys = replica_keys(stream, edge_partition, k)
-    n_replicas = len(keys)
-    loads = np.bincount(edge_partition, minlength=k)
-    n_e = int(loads.sum())
-    return {
-        "replication_factor": n_replicas / n_vertices,
-        "relative_balance": k * int(loads.max()) / n_e if n_e else 1.0,
-        "n_vertices": n_vertices,
-        "n_replicas": int(n_replicas),
-        "n_edges": n_e,
-        "n_partitions_used": int((loads > 0).sum()),
-    }
+    """Driver-side (numpy) twin of ``quality`` for tight sweep loops."""
+    return quality_from_counts(partition_counts_local(stream, edge_partition, k))

@@ -6,7 +6,7 @@ import pytest
 
 from repro.engine.cc import cc_reference, connected_components
 from repro.engine.costmodel import CostModel, SimulatedRun, simulate
-from repro.engine.gas import GraphLayout, layout, layout_local, replica_table
+from repro.engine.gas import GraphLayout, layout, layout_local
 from repro.engine.pagerank import pagerank, pagerank_reference
 from repro.metrics.quality import assignment_df
 from repro.oracle import assert_equivalent
@@ -25,14 +25,6 @@ def test_layout_local_vs_spark(spark, tiny_assign):
     a = layout(df, 8)
     b = layout_local(stream, parts, 8)
     assert a == b
-
-
-def test_replica_table_masters_unique(spark, tiny_assign):
-    stream, parts = tiny_assign
-    rep = replica_table(assignment_df(spark, stream, parts)).toPandas()
-    masters = rep[rep.is_master]
-    assert masters.v.is_unique
-    assert len(masters) == stream.n_vertices
 
 
 def test_layout_counters(tiny_assign):

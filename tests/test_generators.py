@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import generators as G
-from repro.graphs.stats import describe, powerlaw_alpha
+from repro.graphs.stats import powerlaw_alpha
 
 ALL_DATASETS = sorted(G.DATASETS)
 
@@ -134,13 +134,6 @@ def test_to_spark_roundtrip(spark, tiny_web):
     df = tiny_web.to_spark(spark)
     assert df.count() == tiny_web.n_edges
     assert set(df.columns) == {"pos", "src", "dst"}
-
-
-def test_describe_matches_local(spark, tiny_web):
-    d = describe(tiny_web.to_spark(spark))
-    assert d["n_vertices"] == tiny_web.n_vertices
-    assert d["n_edges"] == tiny_web.n_edges
-    assert d["max_degree"] == int(tiny_web.degrees().max())
 
 
 def test_unknown_dataset_raises():

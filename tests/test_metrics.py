@@ -3,14 +3,14 @@ driver-side (numpy) fast path vs the Spark path."""
 import numpy as np
 import pytest
 
-from repro.engine.gas import layout_local
+from repro.engine.gas import GraphLayout, layout, layout_local
 from repro.graphs.generators import EdgeStream
 from repro.metrics.quality import (
     assignment_df,
+    partition_counts,
     quality,
     quality_local,
     replicas,
-    replication_factor_df,
 )
 from repro.oracle import assert_equivalent
 from repro.partitioners import get_partitioner
@@ -29,12 +29,13 @@ def test_assignment_df_schema(spark, tiny_assignment):
     assert df.count() == stream.n_edges
 
 
-def test_replication_factor_oracle(spark, tiny_assignment):
-    """RF via Spark == RF via DuckDB SQL over the same relation."""
+def test_partition_counts_oracle(spark, tiny_assignment):
+    """Edges, union-distinct copies and min-partition masters per partition
+    via Spark == the same relation via DuckDB SQL."""
     stream, parts = tiny_assignment
     assign = assignment_df(spark, stream, parts)
     assert_equivalent(
-        replication_factor_df(assign),
+        partition_counts(assign),
         """
         WITH copies AS (
           SELECT DISTINCT v, partition FROM (
@@ -42,8 +43,13 @@ def test_replication_factor_oracle(spark, tiny_assignment):
             UNION ALL
             SELECT dst AS v, partition FROM assign
           )
-        )
-        SELECT count(*) / count(DISTINCT v) AS replication_factor FROM copies
+        ),
+        masters AS (SELECT min(partition) AS partition FROM copies GROUP BY v),
+        e AS (SELECT partition, count(*) AS edges FROM assign GROUP BY partition),
+        c AS (SELECT partition, count(*) AS copies FROM copies GROUP BY partition),
+        m AS (SELECT partition, count(*) AS masters FROM masters GROUP BY partition)
+        SELECT partition, edges, copies, coalesce(masters, 0) AS masters
+        FROM e JOIN c USING (partition) LEFT JOIN m USING (partition)
         """,
         assign=assign,
     )
@@ -74,6 +80,22 @@ def test_quality_spark_vs_local(spark, tiny_assignment):
     q_local = quality_local(stream, parts, 8)
     for key in q_spark:
         assert q_spark[key] == pytest.approx(q_local[key]), key
+
+
+def test_empty_assignment_all_entry_points(spark):
+    """Spark and numpy quality/layout agree on an empty assignment: RF 1,
+    balance 1 and zero counts."""
+    empty = EdgeStream(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    parts = np.zeros(0, dtype=np.int64)
+    assign = assignment_df(spark, empty, parts)
+    expected = {
+        "replication_factor": 1.0, "relative_balance": 1.0, "n_vertices": 0,
+        "n_replicas": 0, "n_edges": 0, "n_partitions_used": 0,
+    }
+    assert quality(assign, 4) == quality_local(empty, parts, 4) == expected
+    lay = layout_local(empty, parts, 4)
+    assert layout(assign, 4) == lay == GraphLayout(0, 0, 4, 0, 0, 0)
+    assert lay.replication_factor == 1.0
 
 
 @pytest.mark.parametrize("algo", ["hashing", "clugp"])

@@ -8,7 +8,7 @@ from repro.core.clugp import clugp_partition
 from repro.core.clustering import cluster_graph, stream_cluster
 from repro.core.game import play_game
 from repro.graphs.generators import EdgeStream
-from repro.metrics.quality import quality_local
+from repro.metrics.quality import partition_counts_local, quality_local
 from repro.partitioners import get_partitioner
 
 
@@ -77,3 +77,41 @@ def test_rf_invariant_under_relabeling(stream):
     q2 = quality_local(stream, perm[res.edge_partition], 4)
     assert q1["replication_factor"] == q2["replication_factor"]
     assert q1["relative_balance"] == q2["relative_balance"]
+
+
+@st.composite
+def assignments(draw, max_e=40):
+    """(stream, edge_partition, k): ids up to 2⁶², possibly empty, k up to
+    past |E|, partition ids drawn at random from [0, k)."""
+    ids = draw(st.lists(st.integers(0, 2**62), min_size=1, max_size=12, unique=True))
+    n_e = draw(st.integers(0, max_e))
+    src = draw(st.lists(st.sampled_from(ids), min_size=n_e, max_size=n_e))
+    dst = draw(st.lists(st.sampled_from(ids), min_size=n_e, max_size=n_e))
+    k = draw(st.integers(1, max_e + 8))
+    parts = draw(st.lists(st.integers(0, k - 1), min_size=n_e, max_size=n_e))
+    stream = EdgeStream(np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64))
+    return stream, np.array(parts, dtype=np.int64), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(assignments())
+def test_partition_counts_local_matches_sets(case):
+    """(edges, copies, masters) per partition == a brute-force set count."""
+    stream, parts, k = case
+    copies = {
+        (v, p) for s, d, p in zip(stream.src.tolist(), stream.dst.tolist(), parts.tolist())
+        for v in (s, d)
+    }
+    masters: dict[int, int] = {}
+    for v, p in copies:
+        masters[v] = min(masters.get(v, p), p)
+    ref = np.zeros((3, k), dtype=np.int64)
+    for p in parts.tolist():
+        ref[0, p] += 1
+    for _, p in copies:
+        ref[1, p] += 1
+    for p in masters.values():
+        ref[2, p] += 1
+    got = partition_counts_local(stream, parts, k)
+    assert got.shape == (3, k) and got.dtype == np.int64
+    assert np.array_equal(got, ref)

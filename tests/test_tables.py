@@ -137,18 +137,22 @@ def test_f11_runner():
 
 
 def test_jobs_importable():
-    """Every jobs/ entrypoint must at least import (smoke check)."""
+    """``jobs/table.py`` lists every registered table and runs one."""
     import pathlib
     import subprocess
     import sys
 
-    jobs = sorted(pathlib.Path(__file__).parent.parent.joinpath("jobs").glob("fig*.py"))
-    assert len(jobs) >= 8
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import ast,sys\n"
-         + "\n".join(f"ast.parse(open({str(j)!r}).read())" for j in jobs)
-         + "\nprint('ok')"],
-        capture_output=True, text=True,
-    )
-    assert out.stdout.strip() == "ok", out.stderr
+    root = pathlib.Path(__file__).parent.parent
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "jobs/table.py", *args], cwd=root, capture_output=True, text=True
+        )
+
+    out = run("--help")
+    assert out.returncode == 0, out.stderr
+    listed = {line.split()[0] for line in out.stdout.split("tables:\n")[1].splitlines()}
+    assert listed == set(T.TABLES)
+    out = run("t3", "--sf", "0.002")
+    assert out.returncode == 0, out.stderr
+    assert "== t3:" in out.stdout
