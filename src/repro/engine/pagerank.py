@@ -20,34 +20,49 @@ from pyspark.sql import functions as F
 from repro.graphs.generators import EdgeStream
 
 
+def _check_iterations(iterations: int) -> None:
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
+
+
 def pagerank(assign: DataFrame, *, iterations: int = 10, damping: float = 0.85) -> DataFrame:
     """Run PageRank over the edge relation; returns (v, rank).
 
-    Each iteration is one Spark shuffle (groupBy dst) — the dataflow
-    analogue of a GAS superstep's gather, with the master-side apply as
-    the following projection.
+    The weighted edges ``(src, dst, outdeg)`` and the vertex set are
+    cached once.  Each iteration is one GAS superstep: join the weighted
+    edges with ``ranks`` on ``src`` and sum ``rank / outdeg`` per ``dst``
+    (gather), then left-join the sums onto every vertex and damp them
+    (apply).  Broadcast joins are off, so both joins are sort-merge joins.
+    The cached edges are already hash-partitioned on ``src`` (by the
+    ``outdeg`` join) and the vertices on ``v`` (by ``distinct``), so a
+    superstep shuffles only two vertex-sized relations: the ranks, on
+    ``v``, and each partition's partial sums, on ``dst``.  Each superstep
+    ends in an eager ``localCheckpoint()``, which cuts the plan at the new
+    ranks: superstep i then costs what superstep 1 does, instead of
+    replanning and re-running the i-1 before it.
     """
-    edges = assign.select("src", "dst").cache()
+    _check_iterations(iterations)
+    edges = assign.select("src", "dst")
+    outdeg = edges.groupBy("src").agg(F.count("*").alias("outdeg"))
+    weighted = edges.join(outdeg, "src").cache()
     verts = (
-        edges.select(F.col("src").alias("v"))
-        .unionAll(edges.select(F.col("dst").alias("v")))
+        weighted.select(F.col("src").alias("v"))
+        .unionAll(weighted.select(F.col("dst").alias("v")))
         .distinct()
         .cache()
     )
-    n = verts.count()
-    outdeg = edges.groupBy("src").agg(F.count("*").alias("outdeg"))
+    # An empty graph gives an empty result whatever n is.
+    n = max(verts.count(), 1)
     ranks = verts.withColumn("rank", F.lit(1.0 / n))
 
     for _ in range(iterations):
-        contribs = (
-            edges.join(ranks, edges.src == ranks.v)
-            .join(outdeg, "src")
-            .select(F.col("dst").alias("v"), (F.col("rank") / F.col("outdeg")).alias("c"))
-            .groupBy("v")
-            .agg(F.sum("c").alias("gathered"))
+        gathered = (
+            weighted.join(ranks, weighted.src == ranks.v)
+            .groupBy(F.col("dst").alias("v"))
+            .agg(F.sum(F.col("rank") / F.col("outdeg")).alias("gathered"))
         )
         ranks = (
-            verts.join(contribs, "v", "left")
+            verts.join(gathered, "v", "left")
             .select(
                 "v",
                 (
@@ -55,19 +70,21 @@ def pagerank(assign: DataFrame, *, iterations: int = 10, damping: float = 0.85) 
                     + F.lit(damping) * F.coalesce(F.col("gathered"), F.lit(0.0))
                 ).alias("rank"),
             )
+            .localCheckpoint()
         )
-    out = ranks
-    edges.unpersist()
-    return out
+    weighted.unpersist()
+    verts.unpersist()
+    return ranks
 
 
 def pagerank_reference(stream: EdgeStream, *, iterations: int = 10, damping: float = 0.85) -> np.ndarray:
     """Dense numpy power iteration with identical semantics (the oracle)."""
-    ids = np.union1d(stream.src, stream.dst)
-    remap = {int(v): i for i, v in enumerate(ids)}
-    src = np.array([remap[int(x)] for x in stream.src])
-    dst = np.array([remap[int(x)] for x in stream.dst])
+    _check_iterations(iterations)
+    ids, inv = np.unique(np.concatenate([stream.src, stream.dst]), return_inverse=True)
+    src, dst = np.split(inv, 2)
     n = len(ids)
+    if n == 0:
+        return np.empty((0, 2))
     outdeg = np.bincount(src, minlength=n).astype(np.float64)
     r = np.full(n, 1.0 / n)
     for _ in range(iterations):

@@ -8,6 +8,7 @@ from repro.engine.cc import cc_reference, connected_components
 from repro.engine.costmodel import CostModel, SimulatedRun, simulate
 from repro.engine.gas import GraphLayout, layout, layout_local
 from repro.engine.pagerank import pagerank, pagerank_reference
+from repro.graphs.generators import EdgeStream
 from repro.metrics.quality import assignment_df
 from repro.oracle import assert_equivalent
 from repro.partitioners import get_partitioner
@@ -17,6 +18,38 @@ from repro.partitioners import get_partitioner
 def tiny_assign(tiny_web):
     res = get_partitioner("clugp")(tiny_web, 8)
     return tiny_web, res.edge_partition
+
+
+# A self-loop on an isolated vertex, and a pair whose source also loops.
+DEGENERATE = EdgeStream(np.array([0, 1, 1]), np.array([0, 2, 1]))
+EMPTY = EdgeStream(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+
+
+def _assign(spark, stream: EdgeStream):
+    return assignment_df(spark, stream, np.zeros(stream.n_edges, dtype=np.int64))
+
+
+def _plan_nodes(df) -> int:
+    """Operators in the logical plan (one per line of its tree string)."""
+    return len(df._jdf.queryExecution().logical().toString().splitlines())
+
+
+def _cached_entries(spark) -> int:
+    return spark._jsparkSession.sharedState().cacheManager().cachedData().size()
+
+
+def _assert_pagerank_matches(assign, stream, iterations):
+    pr = pagerank(assign, iterations=iterations)
+    ref = pd.DataFrame(pagerank_reference(stream, iterations=iterations), columns=["v", "rank"])
+    ref["v"] = ref["v"].astype("int64")
+    assert_equivalent(pr, "SELECT v, rank FROM ref", ref=ref)
+
+
+def _assert_cc_matches(assign, stream):
+    labels, rounds = connected_components(assign)
+    ref = pd.DataFrame(cc_reference(stream), columns=["v", "component"])
+    assert rounds >= 1
+    assert_equivalent(labels, "SELECT v, component FROM ref", ref=ref)
 
 
 def test_layout_local_vs_spark(spark, tiny_assign):
@@ -51,10 +84,52 @@ def test_pagerank_matches_reference(spark, tiny_assign):
     """Spark GAS PageRank == dense numpy power iteration (via the oracle)."""
     stream, parts = tiny_assign
     assign = assignment_df(spark, stream, parts)
-    pr = pagerank(assign, iterations=5)
-    ref = pd.DataFrame(pagerank_reference(stream, iterations=5), columns=["v", "rank"])
-    ref["v"] = ref["v"].astype("int64")
-    assert_equivalent(pr, "SELECT v, rank FROM ref", ref=ref)
+    for iterations in (5, 20):
+        _assert_pagerank_matches(assign, stream, iterations)
+
+
+@pytest.mark.parametrize("stream", [DEGENERATE, EMPTY], ids=["degenerate", "empty"])
+def test_pagerank_degenerate_graphs(spark, stream):
+    _assert_pagerank_matches(_assign(spark, stream), stream, iterations=4)
+
+
+@pytest.mark.parametrize("iterations", [-1, -5])
+def test_pagerank_rejects_negative_iterations(spark, iterations):
+    with pytest.raises(ValueError, match="iterations"):
+        pagerank(_assign(spark, DEGENERATE), iterations=iterations)
+    with pytest.raises(ValueError, match="iterations"):
+        pagerank_reference(DEGENERATE, iterations=iterations)
+
+
+@pytest.mark.parametrize("max_iters", [0, -1])
+def test_cc_rejects_max_iters_below_one(spark, max_iters):
+    with pytest.raises(ValueError, match="max_iters"):
+        connected_components(_assign(spark, DEGENERATE), max_iters=max_iters)
+
+
+def test_pagerank_plan_does_not_grow(spark):
+    """Each superstep cuts its lineage, so the plan has one size."""
+    assign = _assign(spark, DEGENERATE)
+    assert _plan_nodes(pagerank(assign, iterations=2)) == _plan_nodes(pagerank(assign, iterations=8))
+
+
+def test_cc_plan_does_not_grow(spark):
+    path = EdgeStream(np.arange(6), np.arange(1, 7))
+    assign = _assign(spark, path)
+    one, _ = connected_components(assign, max_iters=1)
+    many, rounds = connected_components(assign)
+    assert rounds > 2
+    assert _plan_nodes(one) == _plan_nodes(many)
+
+
+def test_engine_leaves_no_cached_dataframes(spark, tiny_assign):
+    stream, parts = tiny_assign
+    assign = assignment_df(spark, stream, parts)
+    before = _cached_entries(spark)
+    pagerank(assign, iterations=3).collect()
+    labels, _ = connected_components(assign)
+    labels.collect()
+    assert _cached_entries(spark) == before
 
 
 def test_pagerank_sums_near_one(spark, tiny_assign):
@@ -73,16 +148,15 @@ def test_pagerank_reference_deterministic(tiny_web):
 
 def test_cc_matches_union_find(spark, tiny_assign):
     stream, parts = tiny_assign
-    assign = assignment_df(spark, stream, parts)
-    labels, rounds = connected_components(assign)
-    ref = pd.DataFrame(cc_reference(stream), columns=["v", "component"])
-    assert rounds >= 1
-    assert_equivalent(labels, "SELECT v, component FROM ref", ref=ref)
+    _assert_cc_matches(assignment_df(spark, stream, parts), stream)
+
+
+@pytest.mark.parametrize("stream", [DEGENERATE, EMPTY], ids=["degenerate", "empty"])
+def test_cc_degenerate_graphs(spark, stream):
+    _assert_cc_matches(_assign(spark, stream), stream)
 
 
 def test_cc_two_components(spark):
-    from repro.graphs.generators import EdgeStream
-
     s = EdgeStream(np.array([0, 1, 5, 6]), np.array([1, 2, 6, 7]))
     assign = assignment_df(spark, s, np.array([0, 0, 1, 1]))
     labels, _ = connected_components(assign)
