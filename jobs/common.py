@@ -10,11 +10,13 @@ from pyspark.sql import SparkSession
 
 
 def get_spark(app: str) -> SparkSession:
-    return (
+    spark = (
         SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.enabled", "false")
         .getOrCreate()
     )
+    # One shuffle partition per task slot.
+    spark.conf.set("spark.sql.shuffle.partitions", str(spark.sparkContext.defaultParallelism))
+    return spark

@@ -16,12 +16,12 @@ import sys
 sys.path.insert(0, os.path.dirname(__file__))
 from common import get_spark
 
-from repro.core.clugp import clugp_partition_spark
 from repro.engine.costmodel import CostModel, simulate
 from repro.engine.gas import layout
 from repro.engine.pagerank import pagerank
 from repro.graphs.generators import dataset
 from repro.metrics.quality import quality
+from repro.partitioners import partition_spark
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser()
@@ -33,7 +33,7 @@ if __name__ == "__main__":
 
     spark = get_spark("distributed-clugp")
     edges = dataset(args.dataset, sf=args.sf).to_spark(spark).cache()
-    assign = clugp_partition_spark(edges, args.k, n_nodes=args.nodes).cache()
+    assign = partition_spark(edges, "clugp", args.k, n_nodes=args.nodes).cache()
 
     q = quality(assign, args.k)
     lay = layout(assign, args.k)

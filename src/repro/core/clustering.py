@@ -22,7 +22,7 @@ model is inherently a stateful sequential scan, so there is nothing to
 gain from Catalyst here, and list indexing avoids numpy's per-scalar
 boxing; the state becomes numpy arrays once, on exit.  Spark-level
 parallelism happens one level up, where each "distributed node" runs this
-kernel over its own substream (`repro.core.clugp.clugp_partition_spark`).
+kernel over its own substream (`repro.partitioners.base.partition_spark`).
 """
 from __future__ import annotations
 
@@ -78,17 +78,17 @@ def stream_cluster(
     *,
     v_max: float,
     splitting: bool = True,
-    n_vertices: int | None = None,
 ) -> ClusteringResult:
     """Run Algorithm 2 over ``stream`` with maximum cluster volume ``v_max``.
 
-    ``n_vertices`` sizes the state arrays; defaults to ``max id + 1``.
-    Note Alg 2 line 18 reads ``vol(c'_v) += deg[u]`` — a typo for
+    The state arrays are indexed by vertex id, ``max id + 1`` long: callers
+    pass a densified stream (``EdgeStream.densify``), as ``clugp_partition``
+    does.  Note Alg 2 line 18 reads ``vol(c'_v) += deg[u]`` — a typo for
     ``deg[v]`` (symmetric with the u-branch, line 13); we use ``deg[v]``.
     """
     if v_max <= 0:
         raise ValueError(f"v_max must be positive, got {v_max}")
-    n = n_vertices or stream.id_bound
+    n = stream.id_bound
     src, dst = stream.src.tolist(), stream.dst.tolist()
 
     clu = [-1] * n

@@ -64,7 +64,7 @@ def connected_components(assign: DataFrame, *, max_iters: int = 50) -> tuple[Dat
 
 def cc_reference(stream: EdgeStream) -> np.ndarray:
     """Union-find oracle: (v, component) with component = min id in set."""
-    ids, inv = np.unique(np.concatenate([stream.src, stream.dst]), return_inverse=True)
+    ids, dense = stream.densify()
     parent = np.arange(len(ids))
 
     def find(x: int) -> int:
@@ -73,8 +73,7 @@ def cc_reference(stream: EdgeStream) -> np.ndarray:
             x = parent[x]
         return x
 
-    src, dst = np.split(inv, 2)
-    for u, v in zip(src.tolist(), dst.tolist()):
+    for u, v in zip(dense.src.tolist(), dense.dst.tolist()):
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)

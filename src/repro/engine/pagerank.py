@@ -80,8 +80,8 @@ def pagerank(assign: DataFrame, *, iterations: int = 10, damping: float = 0.85) 
 def pagerank_reference(stream: EdgeStream, *, iterations: int = 10, damping: float = 0.85) -> np.ndarray:
     """Dense numpy power iteration with identical semantics (the oracle)."""
     _check_iterations(iterations)
-    ids, inv = np.unique(np.concatenate([stream.src, stream.dst]), return_inverse=True)
-    src, dst = np.split(inv, 2)
+    ids, dense = stream.densify()
+    src, dst = dense.src, dense.dst
     n = len(ids)
     if n == 0:
         return np.empty((0, 2))

@@ -183,16 +183,17 @@ def f10_parallel(
     rows = []
     base = clugp_partition(stream, k, batch_size=batch_sizes[2])
     base_rf = round(quality_local(stream, base.edge_partition, k)["replication_factor"], 4)
-    streaming_s = base.phase_seconds["clustering"] + base.phase_seconds["transform"]
+    phases = base.extra["phase_seconds"]
+    streaming_s = phases["clustering"] + phases["transform"]
     for t in threads:
-        game_s = lpt_makespan(base.batch_times, t)
+        game_s = lpt_makespan(base.extra["batch_times"], t)
         rows.append(
             {
                 "sweep": "threads",
                 "value": t,
                 "batch_size": batch_sizes[2],
-                "wall_s": round(base.total_seconds(), 4),
-                "game_wall_s": round(base.phase_seconds["game"], 4),
+                "wall_s": round(base.seconds, 4),
+                "game_wall_s": round(phases["game"], 4),
                 "modeled_game_s": round(game_s, 4),
                 "modeled_total_s": round(streaming_s + game_s, 4),
                 "replication_factor": base_rf,
@@ -205,10 +206,10 @@ def f10_parallel(
                 "sweep": "batch_size",
                 "value": b,
                 "batch_size": b,
-                "wall_s": round(res.total_seconds(), 4),
-                "game_wall_s": round(res.phase_seconds["game"], 4),
-                "modeled_game_s": round(sum(res.batch_times), 4),
-                "modeled_total_s": round(res.total_seconds(), 4),
+                "wall_s": round(res.seconds, 4),
+                "game_wall_s": round(res.extra["phase_seconds"]["game"], 4),
+                "modeled_game_s": round(sum(res.extra["batch_times"]), 4),
+                "modeled_total_s": round(sum(res.extra["phase_seconds"].values()), 4),
                 "replication_factor": round(
                     quality_local(stream, res.edge_partition, k)["replication_factor"], 4
                 ),

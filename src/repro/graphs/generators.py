@@ -45,9 +45,13 @@ DATASETS = {
 
 @dataclass(frozen=True)
 class EdgeStream:
-    """An edge stream ``G_S``: ``src[i] → dst[i]`` arriving at position i."""
+    """An edge stream ``G_S``: ``src[i] → dst[i]`` arriving at position i.
 
-    src: np.ndarray  # int64, vertex ids in [0, n_vertices)
+    Vertex ids may be any int64, sparse or negative: a kernel that keeps
+    per-vertex state calls ``densify`` once and indexes by the result.
+    """
+
+    src: np.ndarray  # int64 vertex ids
     dst: np.ndarray
 
     @property
@@ -72,6 +76,13 @@ class EdgeStream:
         """Random stream order (the best order for the one-pass baselines)."""
         idx = np.random.default_rng(seed).permutation(self.n_edges)
         return EdgeStream(self.src[idx], self.dst[idx])
+
+    def densify(self) -> tuple[np.ndarray, "EdgeStream"]:
+        """``(ids, dense)``: the distinct vertex ids, sorted, and this stream
+        with every id replaced by its index in ``ids``, in ``[0, |V|)``."""
+        ids, index = np.unique(np.concatenate([self.src, self.dst]), return_inverse=True)
+        src, dst = np.split(index.astype(np.int64, copy=False), 2)
+        return ids, EdgeStream(src, dst)
 
     @property
     def id_bound(self) -> int:

@@ -64,14 +64,15 @@ def partition_counts_local(
 ) -> np.ndarray:
     """Driver-side (numpy) twin of ``collect_counts``: ``(3, k)`` int64.
 
-    Each (v, partition) copy is packed as ``index(v)·k + partition``, where
-    ``index(v)`` is v's rank among the distinct ids, so the key cannot
-    overflow whatever the ids are.  Distinct keys sort by vertex, then
-    partition: a vertex's first copy is its master.
+    Each (v, partition) copy is packed as ``v·k + partition`` over the
+    densified ids, so the key cannot overflow whatever the ids are.
+    Distinct keys sort by vertex, then partition: a vertex's first copy is
+    its master.
     """
-    _, index = np.unique(np.concatenate([stream.src, stream.dst]), return_inverse=True)
+    _, dense = stream.densify()
+    v = np.concatenate([dense.src, dense.dst])
     p = np.concatenate([edge_partition, edge_partition]).astype(np.int64)
-    vs, ps = np.divmod(np.unique(index.astype(np.int64) * k + p), k)
+    vs, ps = np.divmod(np.unique(v * k + p), k)
     is_master = np.diff(vs, prepend=-1) != 0
     return np.stack([
         np.bincount(edge_partition, minlength=k),

@@ -5,14 +5,16 @@ a sequential edge stream (the streaming model), and every one reports the
 working-state footprint it had to keep (``space_bytes``) — the quantity
 Fig 6 compares: Hashing keeps nothing, DBH a degree array, the heuristics
 (Greedy/HDRF) the full vertex→partition-set replica table, Mint a window,
-and CLUGP the O(2|V|) cluster/degree tables.
+and CLUGP the O(2|V|) cluster/degree tables.  ``register`` is the one
+place that rejects k < 1 and times a call.
 
 ``partition_spark`` lifts any registered partitioner into a DataFrame
-transformation so the metrics/GAS layers consume a uniform
-``(pos,src,dst,partition)`` assignment relation.
+transformation ``(pos,src,dst) → (pos,src,dst,partition)``, so the
+metrics/GAS layers consume a uniform assignment relation.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -44,11 +46,24 @@ _REGISTRY: dict[str, PartitionFn] = {}
 
 
 def register(name: str):
-    """Register a partitioner under its Table-I alias."""
+    """Register a partitioner under its Table-I alias.
+
+    The registered function rejects k < 1 and sets ``seconds`` to the
+    wall time of the call.
+    """
 
     def deco(fn: PartitionFn) -> PartitionFn:
-        _REGISTRY[name] = fn
-        return fn
+        @functools.wraps(fn)
+        def run(stream: EdgeStream, k: int, **kwargs) -> PartitionResult:
+            if k < 1:
+                raise ValueError(f"k must be ≥ 1, got {k}")
+            t0 = time.perf_counter()
+            res = fn(stream, k, **kwargs)
+            res.seconds = time.perf_counter() - t0
+            return res
+
+        _REGISTRY[name] = run
+        return run
 
     return deco
 
@@ -63,28 +78,25 @@ def all_partitioners() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def timed(fn: Callable[[], PartitionResult]) -> PartitionResult:
-    t0 = time.perf_counter()
-    res = fn()
-    res.seconds = time.perf_counter() - t0
-    return res
-
-
-def partition_spark(edges: DataFrame, name: str, k: int, **kwargs) -> DataFrame:
+def partition_spark(
+    edges: DataFrame, name: str, k: int, *, n_nodes: int = 1, **kwargs
+) -> DataFrame:
     """Run partitioner ``name`` over a ``(pos,src,dst)`` DataFrame.
 
-    One-pass streaming partitioners are sequential by definition, so the
-    stream is coalesced into a single ``mapInPandas`` task (one "machine",
-    as in the paper's single-PC partitioning runs); CLUGP's multi-node
-    variant lives in ``repro.core.clugp.clugp_partition_spark``.
+    The stream is range-split on ``pos`` into ``n_nodes`` contiguous
+    substreams, and one ``mapInPandas`` task runs the kernel over each, in
+    stream order.  ``n_nodes=1`` is one machine partitioning the whole
+    stream, as in the paper's single-PC runs; ``n_nodes>1`` is §III-C's
+    distributed nodes, whose partition ids (all in [0,k)) together form
+    the global k-way partitioning.
     """
     fn = get_partitioner(name)
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        pdf = pd.concat(list(batches), ignore_index=True)
-        if len(pdf) == 0:
+        frames = [b for b in batches if len(b)]
+        if not frames:  # a node with no edges
             return
-        pdf = pdf.sort_values("pos")
+        pdf = pd.concat(frames, ignore_index=True).sort_values("pos")
         stream = EdgeStream(pdf["src"].to_numpy(), pdf["dst"].to_numpy())
         res = fn(stream, k, **kwargs)
         yield pdf.assign(partition=res.edge_partition)[
@@ -92,4 +104,4 @@ def partition_spark(edges: DataFrame, name: str, k: int, **kwargs) -> DataFrame:
         ]
 
     schema = "pos long, src long, dst long, partition long"
-    return edges.coalesce(1).mapInPandas(run, schema=schema)
+    return edges.repartitionByRange(n_nodes, "pos").mapInPandas(run, schema=schema)

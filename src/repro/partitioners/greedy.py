@@ -16,44 +16,41 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.generators import EdgeStream
-from repro.partitioners.base import PartitionResult, register, timed
+from repro.partitioners.base import PartitionResult, register
 
 
 @register("greedy")
 def greedy_partition(stream: EdgeStream, k: int) -> PartitionResult:
-    def run() -> PartitionResult:
-        n = stream.id_bound
-        rep = np.zeros((n, k), dtype=bool)  # P(v) membership table
-        loads = np.zeros(k, dtype=np.int64)
-        out = np.empty(stream.n_edges, dtype=np.int64)
-        inf = np.iinfo(np.int64).max
+    ids, stream = stream.densify()
+    rep = np.zeros((len(ids), k), dtype=bool)  # P(v) membership table
+    loads = np.zeros(k, dtype=np.int64)
+    out = np.empty(stream.n_edges, dtype=np.int64)
+    inf = np.iinfo(np.int64).max
 
-        for i, (u, v) in enumerate(zip(stream.src.tolist(), stream.dst.tolist())):
-            ru, rv = rep[u], rep[v]
-            inter = ru & rv
-            if inter.any():
-                cand = inter
-            elif ru.any() and rv.any():
-                cand = ru | rv
-            elif ru.any():
-                cand = ru
-            elif rv.any():
-                cand = rv
-            else:
-                cand = None
-            if cand is None:
-                p = int(np.argmin(loads))
-            else:
-                p = int(np.argmin(np.where(cand, loads, inf)))
-            out[i] = p
-            loads[p] += 1
-            ru[p] = True
-            rv[p] = True
+    for i, (u, v) in enumerate(zip(stream.src.tolist(), stream.dst.tolist())):
+        ru, rv = rep[u], rep[v]
+        inter = ru & rv
+        if inter.any():
+            cand = inter
+        elif ru.any() and rv.any():
+            cand = ru | rv
+        elif ru.any():
+            cand = ru
+        elif rv.any():
+            cand = rv
+        else:
+            cand = None
+        if cand is None:
+            p = int(np.argmin(loads))
+        else:
+            p = int(np.argmin(np.where(cand, loads, inf)))
+        out[i] = p
+        loads[p] += 1
+        ru[p] = True
+        rv[p] = True
 
-        n_entries = int(rep.sum())
-        return PartitionResult(
-            out, k, space_bytes=16 * n_entries + 8 * k,
-            extra={"replica_entries": n_entries, "score_ops": stream.n_edges * k},
-        )
-
-    return timed(run)
+    n_entries = int(rep.sum())
+    return PartitionResult(
+        out, k, space_bytes=16 * n_entries + 8 * k,
+        extra={"replica_entries": n_entries, "score_ops": stream.n_edges * k},
+    )

@@ -1,12 +1,13 @@
-"""Tests for the distributed (Spark) CLUGP pipeline and the generic
-Spark lift of the one-pass partitioners."""
+"""Tests for the Spark lift of the partitioners: distributed CLUGP
+(``n_nodes > 1``) and the one-machine lift of every registered kernel."""
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.clugp import clugp_partition, clugp_partition_spark
+from repro.core.clugp import clugp_partition
+from repro.graphs.generators import EdgeStream
 from repro.metrics.quality import quality, quality_local
-from repro.partitioners import partition_spark
+from repro.partitioners import all_partitioners, get_partitioner, partition_spark
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +17,7 @@ def edges_df(spark, tiny_web):
 
 @pytest.mark.parametrize("n_nodes", [1, 2, 4])
 def test_spark_pipeline_covers_all_edges(spark, tiny_web, edges_df, n_nodes):
-    out = clugp_partition_spark(edges_df, 8, n_nodes=n_nodes)
+    out = partition_spark(edges_df, "clugp", 8, n_nodes=n_nodes)
     assert out.count() == tiny_web.n_edges
     assert set(out.columns) == {"pos", "src", "dst", "partition"}
     mm = out.agg(F.min("partition"), F.max("partition")).collect()[0]
@@ -27,7 +28,7 @@ def test_spark_single_node_matches_sequential(spark, tiny_web, edges_df):
     """n_nodes=1 must reproduce the driver-side kernel bit-for-bit."""
     seq = clugp_partition(tiny_web, 8)
     dist = (
-        clugp_partition_spark(edges_df, 8, n_nodes=1)
+        partition_spark(edges_df, "clugp", 8, n_nodes=1)
         .orderBy("pos")
         .select("partition")
         .toPandas()["partition"]
@@ -41,23 +42,21 @@ def test_spark_multi_node_quality_reasonable(spark, tiny_web, edges_df):
     sequential pipeline's RF (each node only sees a substream)."""
     seq = clugp_partition(tiny_web, 8)
     q_seq = quality_local(tiny_web, seq.edge_partition, 8)
-    out = clugp_partition_spark(edges_df, 8, n_nodes=4)
+    out = partition_spark(edges_df, "clugp", 8, n_nodes=4)
     q_dist = quality(out, 8)
     assert q_dist["relative_balance"] <= 1.25
     assert q_dist["replication_factor"] <= 2.0 * q_seq["replication_factor"]
 
 
 def test_spark_preserves_edge_identity(spark, edges_df, tiny_web):
-    out = clugp_partition_spark(edges_df, 4, n_nodes=2).orderBy("pos").toPandas()
+    out = partition_spark(edges_df, "clugp", 4, n_nodes=2).orderBy("pos").toPandas()
     assert np.array_equal(out["src"].to_numpy(), tiny_web.src)
     assert np.array_equal(out["dst"].to_numpy(), tiny_web.dst)
 
 
-@pytest.mark.parametrize("algo", ["hashing", "dbh", "hdrf", "mint"])
+@pytest.mark.parametrize("algo", all_partitioners())
 def test_partition_spark_lift(spark, tiny_web, edges_df, algo):
-    """The generic Spark lift agrees with the sequential kernel."""
-    from repro.partitioners import get_partitioner
-
+    """At n_nodes=1 the Spark lift agrees with the sequential kernel."""
     out = (
         partition_spark(edges_df, algo, 4)
         .orderBy("pos")
@@ -70,5 +69,16 @@ def test_partition_spark_lift(spark, tiny_web, edges_df, algo):
 
 
 def test_spark_ablation_flags(spark, edges_df):
-    out = clugp_partition_spark(edges_df, 4, n_nodes=2, splitting=False, game=False)
+    out = partition_spark(edges_df, "clugp", 4, n_nodes=2, splitting=False, game=False)
     assert out.count() > 0
+
+
+def test_spark_lift_nodes_without_edges(spark):
+    """More nodes than edges, and an empty stream: the nodes left without
+    edges emit nothing, the others partition their substream."""
+    two = EdgeStream(np.array([1, 2]), np.array([2, 3])).to_spark(spark)
+    out = partition_spark(two, "clugp", 4, n_nodes=4).orderBy("pos").toPandas()
+    assert out["pos"].tolist() == [0, 1]
+    assert out["partition"].between(0, 3).all()
+    empty = spark.createDataFrame([], "pos long, src long, dst long")
+    assert partition_spark(empty, "hdrf", 4, n_nodes=2).count() == 0

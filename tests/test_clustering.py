@@ -21,7 +21,7 @@ def test_every_seen_vertex_clustered(tiny_web, splitting):
 @pytest.mark.parametrize("splitting", [True, False])
 def test_unseen_vertices_unclustered(splitting):
     s = EdgeStream(np.array([0, 0]), np.array([2, 3]))  # vertex 1 never appears
-    c = stream_cluster(s, v_max=10, splitting=splitting, n_vertices=4)
+    c = stream_cluster(s, v_max=10, splitting=splitting)
     assert c.clu[1] == -1 and c.deg[1] == 0
 
 

@@ -1,4 +1,9 @@
 """Tests for the vertex-cut streaming partitioners (Table I registry)."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -72,8 +77,7 @@ def test_hashing_uses_no_state(tiny_web):
 
 def test_dbh_space_is_degree_array(tiny_web):
     res = get_partitioner("dbh")(tiny_web, 8)
-    n = int(max(tiny_web.src.max(), tiny_web.dst.max())) + 1
-    assert res.space_bytes == 8 * n
+    assert res.space_bytes == 8 * tiny_web.n_vertices
 
 
 def test_heuristic_space_scales_with_replicas(tiny_web):
@@ -180,3 +184,46 @@ def test_empty_stream_gives_empty_assignment(algo):
     empty = EdgeStream(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     res = get_partitioner(algo)(empty, 4)
     assert len(res.edge_partition) == 0
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("algo", all_partitioners())
+def test_k_below_one_rejected(tiny_web, algo, k):
+    with pytest.raises(ValueError, match="k must be ≥ 1"):
+        get_partitioner(algo)(tiny_web, k)
+
+
+#: Every algorithm whose assignment depends only on which endpoints are
+#: equal, not on the id values (Hashing and DBH hash the ids).
+ID_BLIND = ["clugp", "clugp_s", "clugp_g", "hdrf", "greedy", "mint"]
+
+
+@pytest.mark.parametrize("relabel", ["times_2_40", "negative"])
+@pytest.mark.parametrize("algo", ID_BLIND)
+def test_sparse_and_negative_ids_match_dense(tiny_web, algo, relabel):
+    """Kernels index their state by the densified ids: ids×2⁴⁰ or shifted
+    to −200..199 give the dense run's assignment and state size."""
+    f = (lambda v: v * 2**40) if relabel == "times_2_40" else (lambda v: v - 200)
+    relabelled = EdgeStream(f(tiny_web.src), f(tiny_web.dst))
+    dense = get_partitioner(algo)(tiny_web, 32)
+    res = get_partitioner(algo)(relabelled, 32)
+    assert np.array_equal(res.edge_partition, dense.edge_partition)
+    assert res.space_bytes == dense.space_bytes
+
+
+@pytest.mark.parametrize("first", ["repro.core.clugp", "repro.partitioners"])
+def test_import_order(first):
+    """``core.clugp`` and ``partitioners`` import each other; either may
+    be imported first, in a fresh interpreter, and all 8 names register."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = (
+        f"import {first}\n"
+        "from repro.partitioners import all_partitioners\n"
+        "print(','.join(all_partitioners()))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().split(",") == sorted(ALGOS)

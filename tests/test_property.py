@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis): kernel invariants on arbitrary
 small edge streams, not just the generator's output distribution."""
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +10,7 @@ from repro.core.clustering import cluster_graph, stream_cluster
 from repro.core.game import play_game
 from repro.graphs.generators import EdgeStream
 from repro.metrics.quality import partition_counts_local, quality_local
-from repro.partitioners import get_partitioner
+from repro.partitioners import all_partitioners, get_partitioner
 
 
 @st.composite
@@ -115,3 +116,41 @@ def test_partition_counts_local_matches_sets(case):
     got = partition_counts_local(stream, parts, k)
     assert got.shape == (3, k) and got.dtype == np.int64
     assert np.array_equal(got, ref)
+
+
+@st.composite
+def any_id_streams(draw, max_e=30):
+    """(stream, k, relabelled stream): ids from the whole int64 range
+    (negative, sparse 63-bit), self-loops and duplicate edges, possibly
+    empty, k up to |E| + 8; the relabelled stream maps the ids through a
+    random injection."""
+    int64 = st.integers(-(2**63), 2**63 - 1)
+    ids = draw(st.lists(int64, min_size=1, max_size=10, unique=True))
+    n_e = draw(st.integers(0, max_e))
+    src = draw(st.lists(st.sampled_from(ids), min_size=n_e, max_size=n_e))
+    dst = draw(st.lists(st.sampled_from(ids), min_size=n_e, max_size=n_e))
+    k = draw(st.integers(1, n_e + 8))
+    new = dict(zip(ids, draw(st.lists(int64, min_size=len(ids), max_size=len(ids), unique=True))))
+
+    def stream(f):
+        return EdgeStream(np.array([f(v) for v in src], dtype=np.int64),
+                          np.array([f(v) for v in dst], dtype=np.int64))
+
+    return stream(int), k, stream(new.__getitem__)
+
+
+@pytest.mark.parametrize("algo", all_partitioners())
+@settings(max_examples=30, deadline=None)
+@given(case=any_id_streams())
+def test_any_int64_ids(algo, case):
+    """Every edge gets one partition in [0, k) and RF ≥ 1 whatever the ids;
+    all but Hashing and DBH (which hash the ids) give the same assignment
+    under any injective relabelling of them."""
+    stream, k, relabelled = case
+    fn = get_partitioner(algo)
+    ep = fn(stream, k).edge_partition
+    assert ep.shape == (stream.n_edges,)
+    assert ((0 <= ep) & (ep < k)).all()
+    assert quality_local(stream, ep, k)["replication_factor"] >= 1.0
+    if algo not in ("hashing", "dbh"):
+        assert np.array_equal(fn(relabelled, k).edge_partition, ep)
