@@ -50,31 +50,24 @@ os.environ.setdefault(
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
+from jobs.common import get_spark  # noqa: E402
+
 
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here. Shuffle
-    partitions default to the task slots (``defaultParallelism``), which
-    ``SPARK_SHUFFLE_PARTITIONS`` overrides: the test graphs have a few
-    thousand edges, and a finer cut only adds tasks to every superstep.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    pre-JVM-launch). The per-session settings are ``jobs/common.get_spark``'s,
+    so the tests run the engine as the jobs and perfbench do: Arrow on,
+    broadcast joins and adaptive execution off, one shuffle partition per
+    task slot. ``SPARK_SHUFFLE_PARTITIONS`` overrides the shuffle
+    partitions: the test graphs have a few thousand edges, and a finer cut
+    only adds tasks to every superstep.
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
-    s.conf.set(
-        "spark.sql.shuffle.partitions",
-        os.environ.get("SPARK_SHUFFLE_PARTITIONS", str(s.sparkContext.defaultParallelism)),
-    )
+    s = get_spark("repro")
+    if n := os.environ.get("SPARK_SHUFFLE_PARTITIONS"):
+        s.conf.set("spark.sql.shuffle.partitions", n)
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

@@ -6,14 +6,15 @@ undirected edges until fixpoint, and the number of rounds is returned so
 the cost model can charge per-iteration communication.  Tests verify
 against a driver-side union-find.
 
-The undirected edges are cached once, hash-partitioned on ``dst``, so the
-per-round join with the labels never reshuffles them.  A round shuffles
-only vertex-sized data: the labels, to join the edges on ``dst`` and the
-neighbour minima on ``v``, and the per-partition partial minima, to group
-them on ``src``.  The new label and its ``changed`` flag come from one
-projection, which is ``localCheckpoint()``-ed: the checkpoint cuts the
-plan, so round i costs the same as round 1, and the change count reads
-the checkpointed rows instead of joining the old labels again.
+One round is one co-partitioned join, one aggregate and exactly one
+exchange.  The undirected edges are checkpointed once, hash-partitioned
+on the sending vertex ``v``, as the label state is, so with adaptive
+query execution off (``jobs/common.py``) the labels join the edges in
+place and only the partial minima, one per (partition, receiving vertex
+``u``), are shuffled.  Each vertex also has a self-loop: it puts the
+vertex's own label among the values its ``min`` reads, and the self-loop
+row's label is the old label, so the same ``groupBy`` yields the change
+flag without a second join.
 """
 from __future__ import annotations
 
@@ -21,45 +22,61 @@ import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.engine import release_checkpoints
 from repro.graphs.generators import EdgeStream
 
 
+def undirected_edges(assign: DataFrame) -> DataFrame:
+    """``(v, u)`` for both directions of every edge and ``(v, v)`` for every
+    vertex, distinct, hash-partitioned on ``v``."""
+    e = assign.select("src", "dst")
+    und = e.select(F.col("src").alias("v"), F.col("dst").alias("u"))
+    for a, b in [("dst", "src"), ("src", "src"), ("dst", "dst")]:
+        und = und.unionAll(e.select(F.col(a).alias("v"), F.col(b).alias("u")))
+    return und.repartition("v").distinct()
+
+
+def cc_round(edges: DataFrame, labels: DataFrame) -> DataFrame:
+    """One round over ``undirected_edges``: ``(v, label, old)`` per vertex.
+
+    ``label`` is the minimum over the vertex and its neighbours; ``old``
+    is the vertex's own label, read from its self-loop row.  The join
+    hashes the labels and streams the edges, so no round sorts the edges.
+    """
+    return (
+        edges.join(labels.hint("shuffle_hash"), "v")
+        .groupBy("u")
+        .agg(
+            F.min("label").alias("label"),
+            F.min(F.when(F.col("v") == F.col("u"), F.col("label"))).alias("old"),
+        )
+        .select(F.col("u").alias("v"), "label", "old")
+    )
+
+
 def connected_components(assign: DataFrame, *, max_iters: int = 50) -> tuple[DataFrame, int]:
-    """Min-label propagation; returns ((v, component), rounds_used)."""
+    """Min-label propagation; returns ((v, component), rounds_used).
+
+    ``undirected_edges`` and each round are ``localCheckpoint()``-ed
+    lazily: the edges become a leaf of every round's plan, and each round
+    cuts the plan (round i plans what round 1 does).  Counting a round's
+    changes materialises it (the first count also the edges), so a round
+    is one Spark job.  Once the last round is materialised, every other
+    checkpoint is released: only the returned labels stay persisted.
+    """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    und = (
-        assign.select("src", "dst")
-        .unionAll(assign.select(F.col("dst").alias("src"), F.col("src").alias("dst")))
-        .distinct()
-        .repartition("dst")
-        .cache()
-    )
-    labels = (
-        und.select(F.col("src").alias("v")).distinct().withColumn("label", F.col("v"))
-    )
-    rounds = 0
+    edges = undirected_edges(assign).localCheckpoint(eager=False)
+    labels = edges.where(F.col("v") == F.col("u")).select("v", F.col("v").alias("label"))
+    checkpoints = [edges]
     for _ in range(max_iters):
-        rounds += 1
-        nbr_min = (
-            und.join(labels, und.dst == labels.v)
-            .groupBy("src")
-            .agg(F.min("label").alias("nbr"))
-        )
-        step = (
-            labels.join(nbr_min, labels.v == nbr_min.src, "left")
-            .select(
-                "v",
-                F.least(F.col("label"), F.coalesce("nbr", "label")).alias("label"),
-                (F.coalesce("nbr", "label") < F.col("label")).alias("changed"),
-            )
-            .localCheckpoint()
-        )
+        step = cc_round(edges, labels).localCheckpoint(eager=False)
+        checkpoints.append(step)
         labels = step.select("v", "label")
-        if step.filter("changed").count() == 0:
+        if step.where(F.col("label") < F.col("old")).count() == 0:
             break
-    und.unpersist()
-    return labels.select("v", F.col("label").alias("component")), rounds
+    release_checkpoints(checkpoints[:-1])
+    return labels.select("v", F.col("label").alias("component")), len(checkpoints) - 1
 
 
 def cc_reference(stream: EdgeStream) -> np.ndarray:

@@ -10,13 +10,24 @@ oracle pattern.
 Formulation: standard damped PageRank without dangling-mass
 redistribution, ``r' = (1−d)/N + d·Σ_{(u,v)∈E} r(u)/outdeg(u)`` — matching
 PowerGraph's example program.
+
+One superstep is one co-partitioned join, one aggregate and exactly one
+exchange.  The edge relation, checkpointed once, carries everything a
+superstep reads, the out-degree weights and a zero-weight self-loop per
+vertex, and it is hash-partitioned on the source ``v``, as the rank state
+is.  With adaptive query execution off (``jobs/common.py``) a checkpoint
+keeps that partitioning, so the ranks join the edges in place and only
+the partial sums, one per (partition, ``dst``), are shuffled.
 """
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.engine import release_checkpoints
 from repro.graphs.generators import EdgeStream
 
 
@@ -25,55 +36,73 @@ def _check_iterations(iterations: int) -> None:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
 
 
+def weighted_edges(assign: DataFrame) -> DataFrame:
+    """The relation one superstep reads: ``(v, dst, w)``, hash-partitioned on ``v``.
+
+    One row ``(src, dst, 1/outdeg(src))`` per edge, plus one ``(v, v, 0.0)``
+    row per vertex.  The zero-weight self-loops add nothing to any sum, but
+    they make every vertex a ``dst``: the gather's ``groupBy(dst)`` then
+    yields a rank for every vertex, including those without in-edges,
+    with no join against the vertex set.  They are also the vertex set
+    itself, the rows with ``w == 0``.
+    """
+    edges = assign.select(F.col("src").alias("v"), "dst")
+    inv_outdeg = edges.groupBy("v").agg((1.0 / F.count("*")).alias("w"))
+    verts = edges.select("v").union(edges.select(F.col("dst").alias("v"))).distinct()
+    loops = verts.select("v", F.col("v").alias("dst"), F.lit(0.0).alias("w"))
+    return edges.join(inv_outdeg, "v").unionByName(loops).repartition("v")
+
+
+def superstep(n: int, damping: float) -> Callable[[DataFrame, DataFrame], DataFrame]:
+    """One GAS superstep, ``step(edges, ranks) -> ranks'``, over ``weighted_edges``.
+
+    Gather joins the edges with ``ranks`` on ``v`` and sums ``rank · w`` per
+    ``dst``; apply damps the sum.  The edges and the ranks are both
+    hash-partitioned on ``v`` (the ranks come out of the previous
+    superstep's ``groupBy(dst)``), so with adaptive execution off the join
+    needs no exchange, and the one exchange of a superstep is the partial
+    sums' on ``dst``: vertex-sized data.  The join hashes the ranks and
+    streams the edges, so no superstep sorts the edges.  The column
+    expressions are built once per PageRank, not once per superstep: each
+    one is a round trip to the JVM.
+    """
+    gather = F.sum(F.col("rank") * F.col("w")).alias("gathered")
+    apply = [
+        F.col("dst").alias("v"),
+        (F.lit((1.0 - damping) / n) + F.lit(damping) * F.col("gathered")).alias("rank"),
+    ]
+
+    def step(edges: DataFrame, ranks: DataFrame) -> DataFrame:
+        return edges.join(ranks.hint("shuffle_hash"), "v").groupBy("dst").agg(gather).select(*apply)
+
+    return step
+
+
 def pagerank(assign: DataFrame, *, iterations: int = 10, damping: float = 0.85) -> DataFrame:
     """Run PageRank over the edge relation; returns (v, rank).
 
-    The weighted edges ``(src, dst, outdeg)`` and the vertex set are
-    cached once.  Each iteration is one GAS superstep: join the weighted
-    edges with ``ranks`` on ``src`` and sum ``rank / outdeg`` per ``dst``
-    (gather), then left-join the sums onto every vertex and damp them
-    (apply).  Broadcast joins are off, so both joins are sort-merge joins.
-    The cached edges are already hash-partitioned on ``src`` (by the
-    ``outdeg`` join) and the vertices on ``v`` (by ``distinct``), so a
-    superstep shuffles only two vertex-sized relations: the ranks, on
-    ``v``, and each partition's partial sums, on ``dst``.  Each superstep
-    ends in an eager ``localCheckpoint()``, which cuts the plan at the new
-    ranks: superstep i then costs what superstep 1 does, instead of
-    replanning and re-running the i-1 before it.
+    ``weighted_edges`` is ``localCheckpoint()``-ed once, which makes it a
+    leaf of every superstep's plan, so planning a superstep never walks
+    the plan that built the edges; counting its vertices for ``N``
+    materialises it.  Each superstep is checkpointed lazily, which cuts
+    the plan at the new ranks (superstep i plans what superstep 1 does)
+    without running a job; only the last one is checkpointed eagerly, so
+    all the supersteps run inside one Spark job.  Then every checkpoint
+    but the one the result reads is released: only the returned ranks
+    stay persisted.
     """
     _check_iterations(iterations)
-    edges = assign.select("src", "dst")
-    outdeg = edges.groupBy("src").agg(F.count("*").alias("outdeg"))
-    weighted = edges.join(outdeg, "src").cache()
-    verts = (
-        weighted.select(F.col("src").alias("v"))
-        .unionAll(weighted.select(F.col("dst").alias("v")))
-        .distinct()
-        .cache()
-    )
+    edges = weighted_edges(assign).localCheckpoint(eager=False)
+    verts = edges.where(F.col("w") == 0.0)
     # An empty graph gives an empty result whatever n is.
     n = max(verts.count(), 1)
-    ranks = verts.withColumn("rank", F.lit(1.0 / n))
-
-    for _ in range(iterations):
-        gathered = (
-            weighted.join(ranks, weighted.src == ranks.v)
-            .groupBy(F.col("dst").alias("v"))
-            .agg(F.sum(F.col("rank") / F.col("outdeg")).alias("gathered"))
-        )
-        ranks = (
-            verts.join(gathered, "v", "left")
-            .select(
-                "v",
-                (
-                    F.lit((1.0 - damping) / n)
-                    + F.lit(damping) * F.coalesce(F.col("gathered"), F.lit(0.0))
-                ).alias("rank"),
-            )
-            .localCheckpoint()
-        )
-    weighted.unpersist()
-    verts.unpersist()
+    ranks = verts.select("v", F.lit(1.0 / n).alias("rank"))
+    step = superstep(n, damping)
+    checkpoints = [edges]
+    for i in range(iterations):
+        ranks = step(edges, ranks).localCheckpoint(eager=i == iterations - 1)
+        checkpoints.append(ranks)
+    release_checkpoints(checkpoints[:-1])
     return ranks
 
 

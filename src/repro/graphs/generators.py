@@ -90,9 +90,12 @@ class EdgeStream:
         return int(max(self.src.max(initial=-1), self.dst.max(initial=-1))) + 1
 
     def degrees(self) -> np.ndarray:
-        """Total (in+out) degree per vertex id, length = max id + 1."""
-        n = self.id_bound
-        return np.bincount(self.src, minlength=n) + np.bincount(self.dst, minlength=n)
+        """Total (in+out) degree per distinct vertex, in the order of
+        ``densify()``'s ids: on ids ``0..|V|-1`` the degree of id ``i`` is
+        at index ``i``."""
+        ids, dense = self.densify()
+        n = len(ids)
+        return np.bincount(dense.src, minlength=n) + np.bincount(dense.dst, minlength=n)
 
     def to_pandas(self) -> pd.DataFrame:
         return pd.DataFrame(

@@ -1,14 +1,18 @@
 """Tests for the GAS engine substrate: layout accounting, PageRank,
 connected components, and the cost model."""
+import uuid
+
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
-from repro.engine.cc import cc_reference, connected_components
+from repro.engine import release_checkpoints
+from repro.engine.cc import cc_reference, cc_round, connected_components, undirected_edges
 from repro.engine.costmodel import CostModel, SimulatedRun, simulate
 from repro.engine.gas import GraphLayout, layout, layout_local
-from repro.engine.pagerank import pagerank, pagerank_reference
-from repro.graphs.generators import EdgeStream
+from repro.engine.pagerank import pagerank, pagerank_reference, superstep, weighted_edges
+from repro.graphs.generators import EdgeStream, dataset
 from repro.metrics.quality import assignment_df
 from repro.oracle import assert_equivalent
 from repro.partitioners import get_partitioner
@@ -36,6 +40,32 @@ def _plan_nodes(df) -> int:
 
 def _cached_entries(spark) -> int:
     return spark._jsparkSession.sharedState().cacheManager().cachedData().size()
+
+
+def _persistent_rdds(spark) -> set[int]:
+    return set(spark.sparkContext._jsc.getPersistentRDDs().keySet())
+
+
+def _jobs_and_stages(spark, fn):
+    """``fn()``, and the Spark jobs and stages it ran, counted under a job
+    group as perfbench counts them."""
+    sc = spark.sparkContext
+    group = f"test-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, group)
+    try:
+        out = fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    tracker = sc.statusTracker()
+    jobs = tracker.getJobIdsForGroup(group)
+    return out, len(jobs), len({s for j in jobs for s in tracker.getJobInfo(j).stageIds})
+
+
+def _exchanges(df) -> list[str]:
+    """The ``Exchange`` operators of ``df``'s executed plan."""
+    ops = (line.lstrip(" :+-") for line in df._jdf.queryExecution().executedPlan().toString().splitlines())
+    return [op for op in ops if op.startswith("Exchange")]
 
 
 def _assert_pagerank_matches(assign, stream, iterations):
@@ -84,7 +114,7 @@ def test_pagerank_matches_reference(spark, tiny_assign):
     """Spark GAS PageRank == dense numpy power iteration (via the oracle)."""
     stream, parts = tiny_assign
     assign = assignment_df(spark, stream, parts)
-    for iterations in (5, 20):
+    for iterations in (0, 5, 20):
         _assert_pagerank_matches(assign, stream, iterations)
 
 
@@ -130,6 +160,63 @@ def test_engine_leaves_no_cached_dataframes(spark, tiny_assign):
     labels, _ = connected_components(assign)
     labels.collect()
     assert _cached_entries(spark) == before
+
+
+def test_engine_releases_superseded_checkpoints(spark):
+    """Only the returned result stays persisted: each call adds at most
+    one RDD, the checkpoint behind its result."""
+    stream = dataset("uk", sf=0.002)
+    assign = _assign(spark, stream)
+    before = _persistent_rdds(spark)
+    ranks = pagerank(assign, iterations=10)
+    added = _persistent_rdds(spark) - before
+    assert added == {ranks._jdf.logicalPlan().rdd().id()}
+    before = _persistent_rdds(spark)
+    _, rounds = connected_components(assign)
+    assert rounds > 1
+    assert len(_persistent_rdds(spark) - before) <= 1
+
+
+def test_pagerank_runs_in_a_constant_number_of_jobs(spark):
+    """One job counts the vertices, one runs every superstep; each
+    superstep adds one stage, i.e. one exchange."""
+    assign = _assign(spark, dataset("uk", sf=0.002))
+    _, few_jobs, few_stages = _jobs_and_stages(spark, lambda: pagerank(assign, iterations=2))
+    _, many_jobs, many_stages = _jobs_and_stages(spark, lambda: pagerank(assign, iterations=8))
+    assert few_jobs == many_jobs == 2
+    assert many_stages - few_stages == 6
+
+
+@pytest.mark.parametrize("length", [3, 9])
+def test_cc_runs_one_job_per_round(spark, length):
+    assign = _assign(spark, EdgeStream(np.arange(length), np.arange(1, length + 1)))
+    (_, rounds), jobs, _ = _jobs_and_stages(spark, lambda: connected_components(assign))
+    assert rounds == length + 1
+    assert jobs == rounds
+
+
+def test_pagerank_superstep_exchanges_only_partial_sums(spark, tiny_assign):
+    """With the ranks read from a checkpoint, as every superstep after the
+    first reads them, the one exchange is the partial sums' on ``dst``."""
+    stream, parts = tiny_assign
+    edges = weighted_edges(assignment_df(spark, stream, parts)).localCheckpoint()
+    verts = edges.where(F.col("w") == 0.0)
+    n = verts.count()
+    step = superstep(n, 0.85)
+    ranks = step(edges, verts.select("v", F.lit(1.0 / n).alias("rank"))).localCheckpoint()
+    [exchange] = _exchanges(step(edges, ranks))
+    assert exchange.startswith("Exchange hashpartitioning(dst#")
+    release_checkpoints([edges, ranks])
+
+
+def test_cc_round_exchanges_only_partial_minima(spark, tiny_assign):
+    stream, parts = tiny_assign
+    edges = undirected_edges(assignment_df(spark, stream, parts)).localCheckpoint()
+    labels = cc_round(edges, edges.where("v = u").select("v", F.col("v").alias("label")))
+    labels = labels.localCheckpoint()
+    [exchange] = _exchanges(cc_round(edges, labels.select("v", "label")))
+    assert exchange.startswith("Exchange hashpartitioning(u#")
+    release_checkpoints([edges, labels])
 
 
 def test_pagerank_sums_near_one(spark, tiny_assign):

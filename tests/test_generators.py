@@ -119,6 +119,17 @@ def test_degrees_sum(small_web):
     assert small_web.degrees().sum() == 2 * small_web.n_edges
 
 
+@pytest.mark.parametrize("relabel", ["times_2_40", "negative"])
+def test_degree_stats_on_sparse_and_negative_ids(tiny_web, relabel):
+    """Degrees are counted per distinct vertex: ids×2⁴⁰ or shifted to
+    −200..199 give the dense stream's degrees, α and max degree."""
+    f = (lambda v: v * 2**40) if relabel == "times_2_40" else (lambda v: v - 200)
+    relabelled = G.EdgeStream(f(tiny_web.src), f(tiny_web.dst))
+    assert np.array_equal(relabelled.degrees(), tiny_web.degrees())
+    assert relabelled.degrees().max() == tiny_web.degrees().max()
+    assert powerlaw_alpha(relabelled) == powerlaw_alpha(tiny_web)
+
+
 def test_n_vertices_counts_incident_only():
     s = G.EdgeStream(np.array([0, 5]), np.array([5, 9]))
     assert s.n_vertices == 3
