@@ -17,10 +17,10 @@ sys.path.insert(0, os.path.dirname(__file__))
 from common import get_spark
 
 from repro.engine.costmodel import CostModel, simulate
-from repro.engine.gas import layout
+from repro.engine.gas import GraphLayout
 from repro.engine.pagerank import pagerank
 from repro.graphs.generators import dataset
-from repro.metrics.quality import quality
+from repro.metrics.quality import collect_counts, quality_from_counts
 from repro.partitioners import partition_spark
 
 if __name__ == "__main__":
@@ -35,8 +35,9 @@ if __name__ == "__main__":
     edges = dataset(args.dataset, sf=args.sf).to_spark(spark).cache()
     assign = partition_spark(edges, "clugp", args.k, n_nodes=args.nodes).cache()
 
-    q = quality(assign, args.k)
-    lay = layout(assign, args.k)
+    counts = collect_counts(assign, args.k)
+    q = quality_from_counts(counts)
+    lay = GraphLayout.from_counts(counts)
     sim = simulate(lay, iterations=10, model=CostModel(rtt=0.01))
     top = pagerank(assign, iterations=5).orderBy("rank", ascending=False).limit(5)
 

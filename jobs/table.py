@@ -2,12 +2,16 @@
 
 Usage: spark-submit jobs/table.py <id> [--sf 0.05]
        python jobs/table.py --help        # lists every id
+       python jobs/table.py <id> > bench_results/<id>.md
 
 The ids are the keys of ``repro.experiments.tables.TABLES``; each id's
-description is the first paragraph of its runner's docstring.  The table
-is followed by the paper's claims to diff it against.
+description is the first paragraph of its runner's docstring.  Without
+``--sf`` the runner runs at its own defaults, the bench scale that
+``bench_results/<id>.md`` records.  The table is followed by the paper's
+claims to diff it against.
 """
 import argparse
+import inspect
 
 from repro.experiments.harness import to_markdown
 from repro.experiments.paper_numbers import PAPER_CLAIMS
@@ -25,11 +29,13 @@ if __name__ == "__main__":
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     ap.add_argument("table", choices=TABLES, metavar="id", help="a table id, listed below")
-    ap.add_argument("--sf", type=float, default=0.05, help="dataset scale factor")
+    ap.add_argument("--sf", type=float, help="dataset scale factor (default: the runner's)")
     args = ap.parse_args()
 
-    df = TABLES[args.table](sf=args.sf)
-    print(f"\n== {args.table}: {description(args.table)} (sf={args.sf}) ==")
+    runner = TABLES[args.table]
+    sf = inspect.signature(runner).parameters["sf"].default if args.sf is None else args.sf
+    df = runner(sf=sf)
+    print(f"\n== {args.table}: {description(args.table)} (sf={sf}) ==")
     print(to_markdown(df))
     print("\nPaper claims to diff against:")
     for claim in PAPER_CLAIMS[args.table]:

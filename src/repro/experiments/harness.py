@@ -80,32 +80,6 @@ def sweep(
     return pd.DataFrame(rows)
 
 
-def rf_growth(df: pd.DataFrame, algo: str) -> float:
-    """RF(k_max)/RF(k_min) for one algorithm — the Fig 3 'stability' stat."""
-    sub = df[df.algo == algo].sort_values("k")
-    if len(sub) < 2:
-        return float("nan")
-    return float(sub.replication_factor.iloc[-1] / sub.replication_factor.iloc[0])
-
-
-def winner_table(df: pd.DataFrame) -> pd.DataFrame:
-    """Per-k ranking by RF (who wins where — the shape EXPERIMENTS.md diffs)."""
-    out = []
-    for k, grp in df.groupby("k"):
-        g = grp.sort_values("replication_factor")
-        out.append(
-            {
-                "k": int(k),
-                "best": g.algo.iloc[0],
-                "best_rf": g.replication_factor.iloc[0],
-                "runner_up": g.algo.iloc[1] if len(g) > 1 else "",
-                "worst": g.algo.iloc[-1],
-                "worst_rf": g.replication_factor.iloc[-1],
-            }
-        )
-    return pd.DataFrame(out)
-
-
 def to_markdown(df: pd.DataFrame, float_fmt: str = "%.3f") -> str:
     """Markdown table without the tabulate dependency."""
     cols = list(df.columns)

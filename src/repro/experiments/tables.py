@@ -1,12 +1,12 @@
 """One runner per evaluation artifact (DESIGN.md §5 index).
 
 Each function returns a tidy pandas DataFrame — the "table of numbers"
-behind the corresponding paper figure/table.  Scales default to the bench
-configuration (SF≈0.05–0.1, ~10⁵–10⁶ endpoint updates); tests call them
-at tiny SF to validate schemas and shapes cheaply.
-
-The jobs in ``jobs/`` print these tables; ``EXPERIMENTS.md`` records them
-next to the paper's reported numbers.
+behind the corresponding paper figure/table.  A runner's keyword defaults
+are the one definition of its bench scale (SF 0.03–0.1, ~10⁵–10⁶ endpoint
+updates): ``python jobs/table.py <id> > bench_results/<id>.md`` runs it
+at them, and ``EXPERIMENTS.md`` records the result next to the paper's
+reported numbers.  Tests call the runners at tiny SF to validate schemas
+and shapes cheaply.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from repro.graphs.stats import powerlaw_alpha
 from repro.metrics.quality import quality_local
 
 ALL_ALGOS = ["clugp", "hdrf", "greedy", "mint", "dbh", "hashing"]
-DEFAULT_KS = [4, 16, 64, 128, 256]
+DEFAULT_KS = [4, 16, 64, 256]
 PAGERANK_ITERS = 10
 
 
@@ -70,14 +70,19 @@ def t3_datasets(*, sf: float = 0.05) -> pd.DataFrame:
 
 
 def f3_rf_vs_k(
-    name: str = "uk", *, sf: float = 0.05, ks: list[int] | None = None,
-    algos: list[str] | None = None,
+    *, names: tuple[str, ...] = ("uk", "arabic", "webbase", "it"),
+    sf: float = 0.03, ks: list[int] | None = None, algos: list[str] | None = None,
 ) -> pd.DataFrame:
-    """Fig 3(a–d): replication factor vs #partitions on a web graph."""
-    return sweep(dataset(name, sf=sf), algos or ALL_ALGOS, ks or DEFAULT_KS)
+    """Fig 3(a–d): replication factor vs #partitions on the web graphs."""
+    frames = []
+    for name in names:
+        df = sweep(dataset(name, sf=sf), algos or ALL_ALGOS, ks or DEFAULT_KS)
+        df.insert(0, "dataset", name)
+        frames.append(df)
+    return pd.concat(frames, ignore_index=True)
 
 
-def f4_twitter(*, sf: float = 0.05, ks: list[int] | None = None) -> pd.DataFrame:
+def f4_twitter(*, sf: float = 0.03, ks: list[int] | None = None) -> pd.DataFrame:
     """Fig 4: RF + total task runtime (partitioning + pagerank) on Twitter.
 
     Total runtime = measured partitioning seconds + simulated PageRank
@@ -110,7 +115,7 @@ def f5_sample_sizes(
     rows = []
     for frac in fractions:
         sub = full.sample(int(frac * full.n_edges), seed=7)
-        for algo in algos or ["clugp", "hdrf", "greedy", "dbh", "hashing"]:
+        for algo in algos or ["clugp", "hdrf", "dbh", "hashing"]:
             r = run_point(sub, algo, k)
             r.pop("_edge_partition"), r.pop("_extra", None)
             r["sample_frac"] = frac
@@ -118,20 +123,20 @@ def f5_sample_sizes(
     return pd.DataFrame(rows)
 
 
-def f6_space(*, sf: float = 0.05, ks: list[int] | None = None) -> pd.DataFrame:
+def f6_space(*, sf: float = 0.03, ks: list[int] | None = None) -> pd.DataFrame:
     """Fig 6: partitioner working-state space vs #partitions (IT-like)."""
     df = sweep(dataset("it", sf=sf), ALL_ALGOS, ks or DEFAULT_KS)
     return df[["algo", "k", "space_mb", "replication_factor"]]
 
 
-def f7_time(name: str = "it", *, sf: float = 0.05, ks: list[int] | None = None) -> pd.DataFrame:
+def f7_time(name: str = "it", *, sf: float = 0.03, ks: list[int] | None = None) -> pd.DataFrame:
     """Fig 7: partitioning runtime (and score-op work) vs #partitions."""
     df = sweep(dataset(name, sf=sf), ALL_ALGOS, ks or DEFAULT_KS)
     return df[["algo", "k", "seconds", "score_ops", "replication_factor"]]
 
 
 def f8_system(
-    *, sf: float = 0.05, k: int = 32,
+    *, sf: float = 0.03, k: int = 32,
     rtts_ms: tuple[float, ...] = (0.0, 10.0, 50.0, 100.0),
     name: str = "it",
 ) -> pd.DataFrame:
@@ -161,7 +166,7 @@ def f8_system(
     return pd.DataFrame(rows)
 
 
-def f9_ablation(*, sf: float = 0.05, ks: list[int] | None = None) -> pd.DataFrame:
+def f9_ablation(*, sf: float = 0.03, ks: list[int] | None = None) -> pd.DataFrame:
     """Fig 9: CLUGP vs CLUGP-S (no splitting) vs CLUGP-G (no game), IT."""
     return sweep(dataset("it", sf=sf), ["clugp", "clugp_s", "clugp_g"], ks or DEFAULT_KS)
 
@@ -219,7 +224,7 @@ def f10_parallel(
 
 
 def f11_analysis(
-    *, sf: float = 0.05, k: int = 64,
+    *, sf: float = 0.03, k: int = 64,
     taus: tuple[float, ...] = (1.0, 1.1, 1.2, 1.35, 1.5),
     weights: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9),
 ) -> pd.DataFrame:
@@ -251,7 +256,7 @@ def f11_analysis(
     return pd.DataFrame(rows)
 
 
-#: DESIGN.md §5 registry: artifact id -> runner (used by jobs and benches).
+#: DESIGN.md §5 registry: artifact id -> runner (``jobs/table.py <id>``).
 TABLES = {
     "t1": t1_algorithm_matrix,
     "t3": t3_datasets,

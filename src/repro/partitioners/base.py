@@ -36,9 +36,6 @@ class PartitionResult:
     space_bytes: int = 0
     extra: dict = field(default_factory=dict)
 
-    def loads(self) -> np.ndarray:
-        return np.bincount(self.edge_partition, minlength=self.k)
-
 
 PartitionFn = Callable[..., PartitionResult]
 

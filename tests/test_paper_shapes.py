@@ -9,6 +9,7 @@ splitting ablation, DESIGN.md §6).
 import numpy as np
 import pytest
 
+from repro.experiments import tables as T
 from repro.experiments.harness import ordered_stream, sweep
 from repro.graphs.generators import dataset
 from repro.metrics.quality import quality_local
@@ -177,3 +178,19 @@ def test_ablation_split_measured():
         res = get_partitioner(algo)(s, 16)
         rf[algo] = quality_local(s, res.edge_partition, 16)["replication_factor"]
     assert abs(rf["clugp"] - rf["clugp_s"]) / rf["clugp_s"] < 0.25
+
+
+@pytest.mark.parametrize("name", ["uk", "arabic", "webbase", "it"])
+def test_clugp_lowest_rf_at_k256_on_every_web_graph(name):
+    """Fig 3 headline at the scale of ``bench_results/f3.md`` (SF 0.03):
+    CLUGP has the lowest RF at k=256 on each of the four web graphs."""
+    df = T.f3_rf_vs_k(names=(name,), sf=SF, ks=[256])
+    top = df.sort_values("replication_factor")
+    assert top.algo.iloc[0] == "CLUGP", top[["algo", "replication_factor"]]
+
+
+def test_t1_clugp_quality_class_high():
+    """Table I at the scale of ``bench_results/t1.md`` (UK SF 0.05,
+    k=256): CLUGP's measured quality class is High."""
+    df = T.t1_algorithm_matrix(sf=0.05, k=256)
+    assert df.loc[df.algo == "CLUGP", "quality_class"].iloc[0] == "High"

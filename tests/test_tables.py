@@ -1,19 +1,14 @@
 """Schema/shape tests for every experiment-table runner (DESIGN.md §5).
 
 Each runner is executed at a tiny scale — these validate plumbing; the
-bench-scale numbers live in benchmarks/ and EXPERIMENTS.md."""
+bench-scale numbers come from ``python jobs/table.py <id>`` (the runner's
+defaults) and live in bench_results/ and EXPERIMENTS.md; the bench-scale
+paper claims are pinned in test_paper_shapes.py."""
 import pandas as pd
 import pytest
 
 from repro.experiments import tables as T
-from repro.experiments.harness import (
-    ordered_stream,
-    rf_growth,
-    run_point,
-    sweep,
-    to_markdown,
-    winner_table,
-)
+from repro.experiments.harness import ordered_stream, run_point, sweep, to_markdown
 from repro.experiments.paper_numbers import PAPER_CLAIMS
 from repro.graphs.generators import web_graph
 
@@ -45,15 +40,6 @@ def test_ordered_stream_modes(tiny_web):
     assert ordered_stream(tiny_web, "hdrf") is not tiny_web
 
 
-def test_rf_growth_and_winner_table(tiny_web):
-    df = sweep(tiny_web, ["hashing", "clugp"], [2, 8])
-    g = rf_growth(df, "Hashing")
-    assert g > 0
-    wt = winner_table(df)
-    assert set(wt.columns) >= {"k", "best", "worst"}
-    assert len(wt) == 2
-
-
 def test_to_markdown_roundtrip(tiny_web):
     df = sweep(tiny_web, ["hashing"], [2])
     md = to_markdown(df)
@@ -75,8 +61,9 @@ def test_t3_datasets():
 
 @pytest.mark.parametrize("name", ["uk", "it"])
 def test_f3_runner(name):
-    df = T.f3_rf_vs_k(name, sf=0.002, ks=KS, algos=["clugp", "hashing"])
+    df = T.f3_rf_vs_k(names=(name,), sf=0.002, ks=KS, algos=["clugp", "hashing"])
     assert len(df) == 4
+    assert set(df.dataset) == {name}
     assert (df.replication_factor >= 1).all()
 
 
@@ -84,6 +71,7 @@ def test_f4_runner():
     df = T.f4_twitter(sf=0.002, ks=[2])
     assert {"pagerank_s", "total_task_s"} <= set(df.columns)
     assert (df.total_task_s >= df.pagerank_s).all()
+    assert len(df) == len(T.ALL_ALGOS) and (df.total_task_s > 0).all()
 
 
 def test_f5_runner():
@@ -96,12 +84,13 @@ def test_f6_runner():
     df = T.f6_space(sf=0.002, ks=[4])
     assert (df.loc[df.algo == "Hashing", "space_mb"] == 0).all()
     assert (df.loc[df.algo == "HDRF", "space_mb"] > 0).all()
+    assert len(df) == len(T.ALL_ALGOS)
 
 
 def test_f7_runner():
     df = T.f7_time(sf=0.002, ks=[4])
     assert {"seconds", "score_ops"} <= set(df.columns)
-    assert (df.seconds > 0).all()
+    assert len(df) == len(T.ALL_ALGOS) and (df.seconds > 0).all()
 
 
 def test_f8_runner():
@@ -110,6 +99,7 @@ def test_f8_runner():
     zero = df[df.rtt_ms == 0.0].set_index("algo").communication_s
     ten = df[df.rtt_ms == 10.0].set_index("algo").communication_s
     assert (ten > zero).all()  # latency adds communication time
+    assert (df.pagerank_total_s > 0).all()
 
 
 def test_f9_runner():
@@ -134,10 +124,12 @@ def test_f11_runner():
     tau_rows = df[df.sweep == "tau"]
     assert (tau_rows.relative_balance <= 1.55).all()
     assert len(df) == 4
+    assert set(df.sweep) == {"tau", "relative_weight"}
 
 
 def test_jobs_importable():
-    """``jobs/table.py`` lists every registered table and runs one."""
+    """``jobs/table.py`` lists every registered table and runs one, at the
+    runner's own ``sf`` unless ``--sf`` is given."""
     import pathlib
     import subprocess
     import sys
@@ -155,4 +147,7 @@ def test_jobs_importable():
     assert listed == set(T.TABLES)
     out = run("t3", "--sf", "0.002")
     assert out.returncode == 0, out.stderr
-    assert "== t3:" in out.stdout
+    assert "== t3:" in out.stdout and "(sf=0.002)" in out.stdout
+    out = run("t3")
+    assert out.returncode == 0, out.stderr
+    assert "(sf=0.05)" in out.stdout
