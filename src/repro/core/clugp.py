@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import time
 from functools import partial
-
-from pyspark.sql import DataFrame
+from typing import TYPE_CHECKING
 
 from repro.core.clustering import cluster_graph, stream_cluster
 from repro.core.game import greedy_assign, play_game
 from repro.core.transform import transform
 from repro.graphs.generators import EdgeStream
 from repro.partitioners.base import PartitionResult, partition_spark, register
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame
 
 
 @register("clugp")

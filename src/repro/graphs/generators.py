@@ -23,10 +23,13 @@ SF=1.0 ≈ 3M edges / 200k vertices; tests use SF≈0.002, benches SF≈0.03–0
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+
+if TYPE_CHECKING:
+    import pandas as pd
+    from pyspark.sql import DataFrame, SparkSession
 
 _V_PER_SF = 200_000
 _E_PER_SF = 3_000_000
@@ -98,6 +101,8 @@ class EdgeStream:
         return np.bincount(dense.src, minlength=n) + np.bincount(dense.dst, minlength=n)
 
     def to_pandas(self) -> pd.DataFrame:
+        import pandas as pd  # the kernels never build a frame; keep the import off their path
+
         return pd.DataFrame(
             {
                 "pos": np.arange(self.n_edges, dtype=np.int64),

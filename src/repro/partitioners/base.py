@@ -10,20 +10,24 @@ place that rejects k < 1 and times a call.
 
 ``partition_spark`` lifts any registered partitioner into a DataFrame
 transformation ``(pos,src,dst) → (pos,src,dst,partition)``, so the
-metrics/GAS layers consume a uniform assignment relation.
+metrics/GAS layers consume a uniform assignment relation.  The lift
+imports pandas itself: this module, like every kernel, imports numpy
+only, so a driver-side partition run never loads pandas or pyspark.
 """
 from __future__ import annotations
 
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
 
 from repro.graphs.generators import EdgeStream
+
+if TYPE_CHECKING:
+    import pandas as pd
+    from pyspark.sql import DataFrame
 
 
 @dataclass
@@ -87,6 +91,8 @@ def partition_spark(
     distributed nodes, whose partition ids (all in [0,k)) together form
     the global k-way partitioning.
     """
+    import pandas as pd  # the one pandas user here; ``run`` pickles it by reference
+
     fn = get_partitioner(name)
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
