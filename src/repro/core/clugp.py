@@ -71,8 +71,10 @@ def clugp_partition(
             "game_rounds": g.rounds,
             "phase_seconds": {"clustering": t1 - t0, "game": t2 - t1, "transform": t3 - t2},
             "batch_times": g.batch_times,
-            # Passes 1 and 3 are O(1) per edge; the game scores m·k per sweep.
+            # Passes 1 and 3 are O(1) per edge; the game scores m·k per sweep
+            # in the paper's model, and ``candidate_scores`` partitions in fact.
             "score_ops": g.score_ops + 2 * stream.n_edges,
+            "candidate_scores": g.candidates_scored,
         },
     )
 

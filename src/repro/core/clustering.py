@@ -96,24 +96,31 @@ def stream_cluster(
     vol: list[int] = []  # cluster id -> volume; a new cluster appends
     divided = [False] * n
     mirror_clusters: dict[int, list[int]] = {}
-    edge_cu: list[int] = []
-    edge_cv: list[int] = []
+    edge_cu = [0] * len(src)
+    edge_cv = [0] * len(src)
     first_pos = [0] * n  # stream position of discovery
+    recency = SPLIT_RECENCY * v_max
 
+    # The endpoints' clusters and degrees live in locals for the whole
+    # edge; a self-loop (u == v) keeps them equal.
     for i, (u, v) in enumerate(zip(src, dst)):
         # -- allocation ---------------------------------------------------
-        if clu[u] < 0:
-            clu[u] = len(vol)
+        c_u = clu[u]
+        if c_u < 0:
+            c_u = clu[u] = len(vol)
             vol.append(0)
             first_pos[u] = i
-        if clu[v] < 0:
-            clu[v] = len(vol)
+        c_v = clu[v]
+        if c_v < 0:
+            c_v = clu[v] = len(vol)
             vol.append(0)
             first_pos[v] = i
-        deg[u] += 1
-        deg[v] += 1
-        vol[clu[u]] += 1
-        vol[clu[v]] += 1
+        d_u = deg[u] = deg[u] + 1
+        d_v = deg[v] = deg[v] + 1
+        if u == v:
+            d_u = d_v
+        vol[c_u] += 1
+        vol[c_v] += 1
         # -- splitting (CLUGP only) --------------------------------------
         # Two stabilising guards on Alg 2's overflow check (DESIGN.md §6):
         # (a) deg < V_max — Theorem 2 assumes V_max = |E|/k > d_max; a
@@ -126,34 +133,44 @@ def stream_cluster(
         #     neighbouring vertices", §IV-A), i.e. for vertices still on
         #     the BFS frontier. Splitting a long-settled vertex scatters
         #     its edge history over churn clusters instead.
+        # u is checked before v, so v's check sees the volume u's split left.
         if splitting:
-            recent = i - SPLIT_RECENCY * v_max
-            for w in (u, v):
-                c = clu[w]
-                d = deg[w]
-                if vol[c] >= v_max and d < v_max and first_pos[w] >= recent:
-                    clu[w] = len(vol)
-                    vol.append(d)
-                    vol[c] -= d
-                    divided[w] = True
-                    mirror_clusters.setdefault(w, []).append(c)
+            if vol[c_u] >= v_max and d_u < v_max and first_pos[u] >= i - recency:
+                clu[u] = len(vol)
+                vol.append(d_u)
+                vol[c_u] -= d_u
+                divided[u] = True
+                mirror_clusters.setdefault(u, []).append(c_u)
+                c_u = clu[u]
+                if u == v:
+                    c_v = c_u
+            if vol[c_v] >= v_max and d_v < v_max and first_pos[v] >= i - recency:
+                clu[v] = len(vol)
+                vol.append(d_v)
+                vol[c_v] -= d_v
+                divided[v] = True
+                mirror_clusters.setdefault(v, []).append(c_v)
+                c_v = clu[v]
         # -- migration ----------------------------------------------------
         # Hollocou's rule: the endpoint in the smaller cluster joins the
         # bigger one, provided the merge respects the volume cap.
-        c_u, c_v = clu[u], clu[v]
-        if c_u != c_v and vol[c_u] < v_max and vol[c_v] < v_max:
-            if vol[c_u] <= vol[c_v]:
-                if vol[c_v] + deg[u] <= v_max:
-                    clu[u] = c_v
-                    vol[c_u] -= deg[u]
-                    vol[c_v] += deg[u]
-            else:
-                if vol[c_u] + deg[v] <= v_max:
+        if c_u != c_v:
+            vol_u = vol[c_u]
+            vol_v = vol[c_v]
+            if vol_u < v_max and vol_v < v_max:
+                if vol_u <= vol_v:
+                    if vol_v + d_u <= v_max:
+                        clu[u] = c_v
+                        vol[c_u] = vol_u - d_u
+                        vol[c_v] = vol_v + d_u
+                        c_u = c_v
+                elif vol_u + d_v <= v_max:
                     clu[v] = c_u
-                    vol[c_v] -= deg[v]
-                    vol[c_u] += deg[v]
-        edge_cu.append(clu[u])
-        edge_cv.append(clu[v])
+                    vol[c_v] = vol_v - d_v
+                    vol[c_u] = vol_u + d_v
+                    c_v = c_u
+        edge_cu[i] = c_u
+        edge_cv[i] = c_v
 
     return ClusteringResult(
         clu=np.array(clu, dtype=np.int64),
@@ -198,7 +215,5 @@ def cluster_graph(clustering: ClusteringResult):
     ws = np.concatenate([w, w]).astype(np.int64)
     order = np.argsort(rows, kind="stable")
     rows, cols, ws = rows[order], cols[order], ws[order]
-    indptr = np.zeros(n_clusters + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    indptr = np.cumsum(indptr)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_clusters))))
     return sizes, (indptr, cols, ws)

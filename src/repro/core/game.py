@@ -15,6 +15,16 @@ Loads are tracked as Σ of member clusters' intra-edge counts — the measure
 under which the exact-potential identity ΔΦ ≡ Δφ holds (see DESIGN.md §6);
 the inter-cluster edges that end up co-located are assigned in pass 3.
 
+Cost: the paper charges a best response Θ(|N(c_i)|), so Θ(m) per sweep
+(Theorem 3).  Here each cluster keeps a live cut table
+``{partition: |e(c_i, p)|}`` for the whole game, so a best response costs
+O(|candidates|) — the partitions in its table, its own and the lightest —
+and only a committed move pays O(|N(c_i)|), to update its neighbours'
+tables.  The tables are built once, an O(nnz) numpy step before the first
+sweep: outside the per-batch timings, inside the game's wall time.
+``GameResult.score_ops`` counts the paper model's m·k scores per sweep,
+``candidates_scored`` the scores actually run.
+
 Parallelisation (paper §V-D): the paper hands ID-contiguous cluster
 batches to threads.  Here every batch runs sequentially on the live state,
 so the result does not depend on the batch size; each batch's wall time is
@@ -26,6 +36,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -45,6 +56,7 @@ class GameResult:
     potential_trace: list[float] = field(default_factory=list)
     batch_times: list[float] = field(default_factory=list)
     score_ops: int = 0  # paper-model cost evaluations: m·k per sweep
+    candidates_scored: int = 0  # cost evaluations the sweeps actually ran
 
 
 def lpt_makespan(batch_times: list[float], threads: int) -> float:
@@ -103,6 +115,20 @@ def potential(assignment: np.ndarray, sizes: np.ndarray, adj, lam: float, k: int
     return float(lam / (2.0 * k) * (loads**2).sum() + 0.5 * cut)
 
 
+def _cut_tables(adj, assignment: np.ndarray, k: int) -> list[dict[int, int]]:
+    """Each cluster's cut table ``{partition: Σ w}`` over its neighbours
+    under ``assignment``: one ``np.unique`` over the keys ``row·k + a[col]``
+    and a ``bincount`` of the weights, then one dict per cluster.  The
+    weights are positive counts, so no table holds a zero entry."""
+    indptr, cols, ws = adj
+    m = len(indptr) - 1
+    rows = np.repeat(np.arange(m, dtype=np.int64), np.diff(indptr))
+    keys, inv = np.unique(rows * k + assignment[cols], return_inverse=True)
+    cut = np.bincount(inv, weights=ws, minlength=len(keys)).astype(np.int64)
+    entries = zip((keys % k).tolist(), cut.tolist())  # sorted by row
+    return [dict(islice(entries, n)) for n in np.bincount(keys // k, minlength=m).tolist()]
+
+
 def _best_response_pass(
     clusters,
     assignment: list[int],
@@ -110,53 +136,76 @@ def _best_response_pass(
     sizes: list[int],
     ext: list[float],
     adj,
+    cuts: list[dict[int, int]],
     lam: float,
     k: int,
-) -> int:
+) -> tuple[int, int]:
     """One round-robin sweep of best responses over ``clusters``.
 
-    ``assignment``/``loads`` are lists mutated in place and ``adj`` is the
-    CSR triple as lists; returns the number of strategy changes.  Cost per
-    cluster is O(|N(c_i)|) (Theorem 3's Θ(m) per round): only the
-    partitions of c_i's neighbours, its current partition and the globally
-    lightest partition are scored.  That is exact for λ ≥ 0: a partition
-    holding no neighbour costs (λ/k)|c_i|(load+|c_i|) + ½·ext, which does
-    not decrease with load, so among those partitions the tie-break
-    (cost, load, id) always picks the lightest.
+    ``assignment``/``loads``/``cuts`` are mutated in place and ``adj`` is
+    the CSR triple as lists; returns the number of strategy changes and of
+    partitions scored.  ``cuts[i]`` is cluster i's live cut table (see
+    ``_cut_tables``), so a best response reads no CSR row: it scores the
+    partitions in ``cuts[i]``, its current partition and the globally
+    lightest partition, O(|candidates|) per cluster.  That is exact for
+    λ ≥ 0: a partition holding no neighbour costs
+    (λ/k)|c_i|(load+|c_i|) + ½·ext, which does not decrease with load, so
+    among those partitions the tie-break (cost, load, id) always picks the
+    lightest.  A committed move of c_i from a to b costs O(|N(c_i)|): each
+    neighbour's table loses c_i's weight at a and gains it at b.
     """
     indptr, cols, ws = adj
     scale = lam / k
     lightest = loads.index(min(loads))  # min by (load, id)
-    moves = 0
+    moves = scored = 0
     for i in clusters:
-        cut = {lightest: 0}  # candidate partition -> cut weight
-        lo, hi = indptr[i], indptr[i + 1]
-        for j, w in zip(cols[lo:hi], ws[lo:hi]):
-            p = assignment[j]
-            cut[p] = cut.get(p, 0) + w
+        cut = cuts[i]
         size_i = sizes[i]
         ext_i = ext[i]
         cur = assignment[i]
         load_cur = loads[cur] - size_i
-        cost_cur = scale * size_i * (load_cur + size_i) + 0.5 * (ext_i - cut.get(cur, 0))
-        # Deterministic tie-breaks: lowest cost, then lightest load, then id.
+        cut_cur = cut.get(cur, 0)
         # Costs are evaluated in the dense scorer's floating-point order.
-        best, best_key = cur, (cost_cur, load_cur, cur)
+        a = scale * size_i
+        cost_cur = a * (load_cur + size_i) + 0.5 * (ext_i - cut_cur)
+        # Deterministic tie-breaks: lowest cost, then lightest load, then id.
+        best, best_cost, best_load = cur, cost_cur, load_cur
         for p, cut_p in cut.items():
             if p != cur:
-                key = (scale * size_i * (loads[p] + size_i) + 0.5 * (ext_i - cut_p), loads[p], p)
-                if key < best_key:
-                    best, best_key = p, key
-        if best != cur and best_key[0] < cost_cur - 1e-12:
+                load_p = loads[p]
+                cost = a * (load_p + size_i) + 0.5 * (ext_i - cut_p)
+                if cost < best_cost or cost == best_cost and (
+                    load_p < best_load or load_p == best_load and p < best
+                ):
+                    best, best_cost, best_load = p, cost, load_p
+        scored += len(cut) + (cut_cur == 0)
+        if lightest != cur and lightest not in cut:
+            scored += 1
+            load_p = loads[lightest]
+            cost = a * (load_p + size_i) + 0.5 * ext_i
+            if cost < best_cost or cost == best_cost and (
+                load_p < best_load or load_p == best_load and lightest < best
+            ):
+                best, best_cost, best_load = lightest, cost, load_p
+        if best != cur and best_cost < cost_cur - 1e-12:
             moves += 1
             assignment[i] = best
             loads[cur] = load_cur
             loads[best] += size_i
+            lo, hi = indptr[i], indptr[i + 1]
+            for j, w in zip(cols[lo:hi], ws[lo:hi]):
+                cut_j = cuts[j]
+                left = cut_j[cur] - w
+                if left:
+                    cut_j[cur] = left
+                else:
+                    del cut_j[cur]
+                cut_j[best] = cut_j.get(best, 0) + w
             if best == lightest:
                 lightest = loads.index(min(loads))
             elif (load_cur, cur) < (loads[lightest], lightest):
                 lightest = cur
-    return moves
+    return moves, scored
 
 
 def play_game(
@@ -176,18 +225,19 @@ def play_game(
     time; ``batch_size`` only sets how the per-batch wall times in
     ``batch_times`` are split up.  Every committed move strictly lowers the
     potential Φ, so sweeps repeat until no cluster moves (Theorem 6 bounds
-    the rounds).
+    the rounds).  The clusters' cut tables are built once, in O(nnz) numpy
+    work before the first sweep, and kept live by the moves.
     """
     m = len(sizes)
     indptr, cols, ws = adj
-    ext = np.zeros(m)
-    np.add.at(ext, np.repeat(np.arange(m), np.diff(indptr)), ws)
+    ext = np.bincount(np.repeat(np.arange(m), np.diff(indptr)), weights=ws, minlength=m)
     lam_v = resolve_lambda(lam, sizes, ext, k)
 
     rng = np.random.default_rng(seed)
     assignment_np = rng.integers(0, k, m, dtype=np.int64)
-    # The sweeps run on lists: numpy scalar indexing costs more than the
-    # arithmetic it feeds.
+    # The sweeps run on lists and dicts: numpy scalar indexing costs more
+    # than the arithmetic it feeds.
+    cuts = _cut_tables(adj, assignment_np, k)
     assignment = assignment_np.tolist()
     loads = np.bincount(assignment_np, weights=sizes, minlength=k).tolist()
     sizes_l, ext_l = sizes.tolist(), ext.tolist()
@@ -203,10 +253,12 @@ def play_game(
         moved = 0
         for batch in batches:
             t0 = time.perf_counter()
-            moved += _best_response_pass(
-                batch, assignment, loads, sizes_l, ext_l, adj_l, lam_v, k
+            moves, scored = _best_response_pass(
+                batch, assignment, loads, sizes_l, ext_l, adj_l, cuts, lam_v, k
             )
             result.batch_times.append(time.perf_counter() - t0)
+            moved += moves
+            result.candidates_scored += scored
             result.score_ops += len(batch) * k
         result.moves += moved
         if track_potential:

@@ -16,6 +16,7 @@ and maps every edge to a partition, enforcing the user's imbalance factor
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,9 @@ def transform(
     tau: float = 1.0,
 ) -> TransformResult:
     """Run Algorithm 1: restream edges, emit one partition id per edge."""
-    if tau < 1.0:
-        raise ValueError(f"imbalance factor τ must be ≥ 1, got {tau}")
+    # NaN fails every comparison and ∞ lifts the cap: both would unbound L_max.
+    if not (math.isfinite(tau) and tau >= 1.0):
+        raise ValueError(f"imbalance factor τ must be finite and ≥ 1, got {tau}")
     n_e = stream.n_edges
     l_max = tau * n_e / k
     loads = [0] * k

@@ -154,3 +154,53 @@ def test_deterministic_given_stream(tiny_web, k):
     b = stream_cluster(tiny_web, v_max=tiny_web.n_edges / k)
     assert np.array_equal(a.clu, b.clu)
     assert np.array_equal(a.edge_cu, b.edge_cu)
+
+
+# A hand-made stream with what the generators never emit: self-loops
+# ((1,1), (2,2), (0,0), ...) and repeated edges ((0,1) twice, (0,3)/(3,0),
+# (5,6)/(6,5)).  Hubs 0 and 5 push clusters over V_max, so splitting (one
+# of them on the self-loop (2,2)), both of its guards and migration fire.
+_LOOPY = [(0, 1), (1, 1), (0, 1), (0, 2), (2, 2), (0, 3), (3, 0), (0, 0), (4, 0),
+          (1, 2), (5, 5), (5, 6), (6, 5), (0, 5), (7, 5), (5, 8), (8, 8), (0, 7),
+          (9, 0), (9, 9), (3, 4), (5, 9), (10, 10), (10, 0), (5, 10), (11, 5), (0, 11), (2, 1)]
+
+# Pass 1's state on ``_LOOPY``, recorded before its per-edge loop was
+# tightened: a rewrite of the loop must reproduce it exactly.
+_LOOPY_PINNED = {
+    (3.0, True): dict(
+        clu=[2, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
+        deg=[13, 6, 5, 3, 2, 10, 2, 2, 3, 4, 4, 2],
+        vol=[0, 6, 13, 5, 3, 2, 10, 2, 2, 3, 4, 4, 2],
+        edge_cu=[1, 1, 2, 2, 3, 2, 4, 2, 5, 1, 6, 6, 7, 2, 8, 6, 9, 2, 10, 10, 4, 6, 11, 11, 6, 12, 2, 3],
+        edge_cv=[1, 1, 1, 3, 3, 4, 2, 2, 2, 3, 6, 7, 6, 6, 6, 9, 9, 8, 2, 10, 5, 10, 11, 2, 11, 6, 12, 1],
+        mirror_clusters={0: [1]},
+    ),
+    (6.0, True): dict(
+        clu=[4, 1, 5, 7, 7, 12, 9, 13, 14, 15, 16, 17],
+        deg=[13, 6, 5, 3, 2, 10, 2, 2, 3, 4, 4, 2],
+        vol=[0, 6, 0, 0, 13, 5, 0, 5, 0, 2, 0, 0, 10, 2, 3, 4, 4, 2],
+        edge_cu=[1, 1, 1, 4, 5, 4, 7, 4, 8, 1, 9, 9, 9, 4, 13, 12, 14, 4, 15, 15, 7, 12, 16, 16, 12, 17, 4, 5],
+        edge_cv=[1, 1, 1, 4, 5, 4, 4, 4, 4, 5, 9, 9, 9, 12, 12, 14, 14, 13, 4, 15, 7, 15, 16, 4, 16, 12, 17, 1],
+        mirror_clusters={0: [1, 1], 2: [4], 3: [4], 6: [9], 5: [9]},
+    ),
+    (6.0, False): dict(
+        clu=[1, 1, 2, 3, 3, 5, 5, 7, 8, 9, 10, 11],
+        deg=[13, 6, 5, 3, 2, 10, 2, 2, 3, 4, 4, 2],
+        vol=[0, 19, 5, 5, 0, 12, 0, 2, 3, 4, 4, 2],
+        edge_cu=[1, 1, 1, 1, 2, 1, 3, 1, 4, 1, 5, 5, 5, 1, 7, 5, 8, 1, 9, 9, 3, 5, 10, 10, 5, 11, 1, 2],
+        edge_cv=[1, 1, 1, 2, 2, 3, 1, 1, 1, 2, 5, 5, 5, 5, 5, 8, 8, 7, 1, 9, 3, 9, 10, 1, 10, 5, 11, 1],
+        mirror_clusters={},
+    ),
+}
+
+
+@pytest.mark.parametrize("v_max,splitting", list(_LOOPY_PINNED), ids=str)
+def test_self_loops_and_repeated_edges_pinned(v_max, splitting):
+    s = EdgeStream(np.array([u for u, _ in _LOOPY]), np.array([v for _, v in _LOOPY]))
+    c = stream_cluster(s, v_max=v_max, splitting=splitting)
+    want = _LOOPY_PINNED[(v_max, splitting)]
+    for field in ("clu", "deg", "vol", "edge_cu", "edge_cv"):
+        assert getattr(c, field).tolist() == want[field], field
+    assert c.mirror_clusters == want["mirror_clusters"]
+    assert c.n_clusters == len(want["vol"])
+    assert sorted(np.flatnonzero(c.divided).tolist()) == sorted(want["mirror_clusters"])

@@ -226,6 +226,19 @@ def test_score_ops_counted(small_web):
     assert g.score_ops >= len(sizes) * 8  # at least one full sweep
 
 
+@pytest.mark.parametrize("k", [8, 256])
+def test_candidates_scored_within_model(small_web, k):
+    """Each best response scores between 1 (its own partition) and k
+    partitions, so the executed scores lie between m and the paper-model
+    m·k per sweep; at k=256 they are far below it."""
+    sizes, adj = _clustered(small_web, k)
+    g = play_game(sizes, adj, k, seed=0)
+    m = len(sizes)
+    assert g.rounds * m <= g.candidates_scored <= g.score_ops == g.rounds * m * k
+    if k == 256:
+        assert g.candidates_scored < g.score_ops / 4
+
+
 @pytest.mark.parametrize("lam", [-1.0, -1e-9, float("inf"), float("nan")])
 def test_resolve_lambda_rejects_negative_or_non_finite(lam):
     with pytest.raises(ValueError, match="finite and ≥ 0"):

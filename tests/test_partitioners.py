@@ -148,6 +148,7 @@ def test_clugp_phases_reported(tiny_web):
     assert set(ph) == {"clustering", "game", "transform"}
     assert all(v >= 0 for v in ph.values())
     assert res.extra["n_clusters"] > 0
+    assert 0 < res.extra["candidate_scores"] <= res.extra["score_ops"]
 
 
 def test_clugp_g_skips_game(tiny_web):

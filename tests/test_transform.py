@@ -44,6 +44,14 @@ def test_invalid_tau_raises(tiny_web):
         transform(tiny_web, c, np.zeros(c.n_clusters, dtype=np.int64), 4, tau=0.5)
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+def test_non_finite_tau_raises(tiny_web, tau):
+    """A non-finite τ would leave L_max without a cap: rejected, not run."""
+    c = stream_cluster(tiny_web, v_max=tiny_web.n_edges / 4)
+    with pytest.raises(ValueError, match="finite"):
+        transform(tiny_web, c, np.zeros(c.n_clusters, dtype=np.int64), 4, tau=tau)
+
+
 def test_same_partition_edges_stay_local():
     """When both endpoints map to the same (underfull) partition, the edge
     must land there."""
