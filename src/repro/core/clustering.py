@@ -58,8 +58,12 @@ class ClusteringResult:
 
     @property
     def n_mirrors(self) -> int:
-        """Mirror copies produced by splitting (0 for Holl)."""
-        return sum(len(v) for v in self.mirror_clusters.values())
+        """Mirror copies produced by splitting (0 for Holl): distinct
+        ``(v, c)`` pairs with ``c ≠ clu[v]``.  A vertex split out of one
+        cluster twice lists it twice, and one that later migrated back lists
+        its own final cluster; neither is a mirror."""
+        clu = self.clu
+        return sum(len(set(cs) - {int(clu[v])}) for v, cs in self.mirror_clusters.items())
 
     def clustering_rf(self) -> float:
         """Replication factor of the clustering itself (masters+mirrors)/masters."""

@@ -13,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from repro.engine.gas import GraphLayout
 from repro.graphs.generators import EdgeStream
-from repro.metrics.quality import quality_local
+from repro.metrics.quality import partition_counts_local, quality_from_counts
 from repro.partitioners import get_partitioner
 
 #: §VI-A streaming orders: random is best for the one-pass baselines.
@@ -33,19 +34,19 @@ DISPLAY = {
 }
 
 
-def ordered_stream(stream: EdgeStream, algo: str, *, seed: int = 1) -> EdgeStream:
+def ordered_stream(stream: EdgeStream, algo: str) -> EdgeStream:
     """The algorithm's best stream order (paper's fair-comparison setup)."""
-    return stream.shuffled(seed=seed) if algo in RANDOM_ORDER else stream
+    return stream.shuffled(seed=1) if algo in RANDOM_ORDER else stream
 
 
-def run_point(
-    stream: EdgeStream, algo: str, k: int, *, order_seed: int = 1, **kwargs
-) -> dict:
-    """One (algorithm, k) measurement row."""
-    st = ordered_stream(stream, algo, seed=order_seed)
+def run_point(stream: EdgeStream, algo: str, k: int, **kwargs) -> tuple[dict, GraphLayout]:
+    """One (algorithm, k) measurement: the table row and the GAS layout of
+    the assignment, both from one ``partition_counts_local`` pass."""
+    st = ordered_stream(stream, algo)
     res = get_partitioner(algo)(st, k, **kwargs)
-    q = quality_local(st, res.edge_partition, k)
-    return {
+    counts = partition_counts_local(st, res.edge_partition, k)
+    q = quality_from_counts(counts)
+    row = {
         "algo": DISPLAY.get(algo, algo),
         "k": k,
         "replication_factor": round(q["replication_factor"], 4),
@@ -55,29 +56,13 @@ def run_point(
         "score_ops": int(res.extra.get("score_ops", 0)),
         "n_vertices": q["n_vertices"],
         "n_edges": q["n_edges"],
-        "_edge_partition": res.edge_partition,
-        "_extra": res.extra,
     }
+    return row, GraphLayout.from_counts(counts)
 
 
-def sweep(
-    stream: EdgeStream,
-    algos: list[str],
-    ks: list[int],
-    *,
-    keep_assignments: bool = False,
-    **kwargs,
-) -> pd.DataFrame:
+def sweep(stream: EdgeStream, algos: list[str], ks: list[int], **kwargs) -> pd.DataFrame:
     """Cartesian sweep; returns a tidy DataFrame (one row per run)."""
-    rows = []
-    for k in ks:
-        for algo in algos:
-            row = run_point(stream, algo, k, **kwargs)
-            if not keep_assignments:
-                row.pop("_edge_partition")
-            row.pop("_extra", None)
-            rows.append(row)
-    return pd.DataFrame(rows)
+    return pd.DataFrame([run_point(stream, algo, k, **kwargs)[0] for k in ks for algo in algos])
 
 
 def to_markdown(df: pd.DataFrame, float_fmt: str = "%.3f") -> str:

@@ -20,6 +20,11 @@ PAPER_CLAIMS = {
         "Arabic, k 4→256: CLUGP RF grows ~1.5×, Hashing ~10×.",
         "Arabic, k=256: CLUGP RF ≈ ½ of HDRF (the best baseline).",
         "IT, k=256: up to 10× RF decrease vs the worst baseline.",
+        "Heuristics (HDRF/Greedy) use 8–10× CLUGP's space; Hashing 0;"
+        " Mint < CLUGP (CLUGP is O(2|V|), Mint O(batch·threads)).",
+        "HDRF/Greedy/Mint runtime grows steeply with k (IT k=256: HDRF"
+        " ≈35,000 s); CLUGP & hashing insensitive (CLUGP 1,162→1,869 s"
+        " from k=4→256, ≈2–3× hashing).",
     ],
     "f4": [
         "Twitter: CLUGP RF slightly higher than HDRF,",
@@ -28,15 +33,6 @@ PAPER_CLAIMS = {
     "f5": [
         "UK samples 10K→60M edges at fixed k: CLUGP RF +20%, HDRF +80%;"
         " CLUGP best at every size.",
-    ],
-    "f6": [
-        "Heuristics (HDRF/Greedy) use 8–10× CLUGP's space; Hashing 0;"
-        " Mint < CLUGP (CLUGP is O(2|V|), Mint O(batch·threads)).",
-    ],
-    "f7": [
-        "HDRF/Greedy/Mint runtime grows steeply with k (IT k=256: HDRF"
-        " ≈35,000 s); CLUGP & hashing insensitive (CLUGP 1,162→1,869 s"
-        " from k=4→256, ≈2–3× hashing).",
     ],
     "f8": [
         "CLUGP lowest computation and communication time in all tests;"

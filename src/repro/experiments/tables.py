@@ -15,8 +15,7 @@ import pandas as pd
 from repro.core.clugp import clugp_partition
 from repro.core.game import lpt_makespan
 from repro.engine.costmodel import CostModel, simulate
-from repro.engine.gas import layout_local
-from repro.experiments.harness import DISPLAY, ordered_stream, run_point, sweep
+from repro.experiments.harness import run_point, sweep
 from repro.graphs.generators import DATASETS, dataset
 from repro.graphs.stats import powerlaw_alpha
 from repro.metrics.quality import quality_local
@@ -33,13 +32,7 @@ def t1_algorithm_matrix(*, sf: float = 0.05, k: int = 256) -> pd.DataFrame:
     separates from the O(1) streams; classes are rank terciles of the
     measured numbers (2 Low / 2 Medium / 2 High over the 6 algorithms).
     """
-    rows = []
-    stream = dataset("uk", sf=sf)
-    for algo in ALL_ALGOS:
-        r = run_point(stream, algo, k)
-        r.pop("_edge_partition"), r.pop("_extra", None)
-        rows.append(r)
-    df = pd.DataFrame(rows).drop(columns=["n_vertices", "n_edges"])
+    df = sweep(dataset("uk", sf=sf), ALL_ALGOS, [k]).drop(columns=["n_vertices", "n_edges"])
     tercile = lambda ranks, labels: [labels[min(int(r) * 3 // len(df), 2)] for r in ranks]
     df["time_class"] = tercile(
         df.score_ops.rank(method="first") - 1, ["Low", "Medium", "High"]
@@ -73,7 +66,12 @@ def f3_rf_vs_k(
     *, names: tuple[str, ...] = ("uk", "arabic", "webbase", "it"),
     sf: float = 0.03, ks: list[int] | None = None, algos: list[str] | None = None,
 ) -> pd.DataFrame:
-    """Fig 3(a–d): replication factor vs #partitions on the web graphs."""
+    """Fig 3(a–d): replication factor vs #partitions on the web graphs; the
+    IT rows are also Fig 6 (space_mb) and Fig 7 (seconds, score_ops).
+
+    The paper draws Figs 3(d), 6 and 7 from one set of IT runs; so does
+    this table, and each of its cells is one run.
+    """
     frames = []
     for name in names:
         df = sweep(dataset(name, sf=sf), algos or ALL_ALGOS, ks or DEFAULT_KS)
@@ -93,11 +91,7 @@ def f4_twitter(*, sf: float = 0.03, ks: list[int] | None = None) -> pd.DataFrame
     rows = []
     for k in ks or DEFAULT_KS:
         for algo in ALL_ALGOS:
-            r = run_point(stream, algo, k)
-            lay = layout_local(
-                ordered_stream(stream, algo), r.pop("_edge_partition"), k
-            )
-            r.pop("_extra", None)
+            r, lay = run_point(stream, algo, k)
             sim = simulate(lay, iterations=PAGERANK_ITERS)
             r["pagerank_s"] = round(sim.total_s, 4)
             r["total_task_s"] = round(r["seconds"] + sim.total_s, 4)
@@ -116,23 +110,10 @@ def f5_sample_sizes(
     for frac in fractions:
         sub = full.sample(int(frac * full.n_edges), seed=7)
         for algo in algos or ["clugp", "hdrf", "dbh", "hashing"]:
-            r = run_point(sub, algo, k)
-            r.pop("_edge_partition"), r.pop("_extra", None)
+            r, _ = run_point(sub, algo, k)
             r["sample_frac"] = frac
             rows.append(r)
     return pd.DataFrame(rows)
-
-
-def f6_space(*, sf: float = 0.03, ks: list[int] | None = None) -> pd.DataFrame:
-    """Fig 6: partitioner working-state space vs #partitions (IT-like)."""
-    df = sweep(dataset("it", sf=sf), ALL_ALGOS, ks or DEFAULT_KS)
-    return df[["algo", "k", "space_mb", "replication_factor"]]
-
-
-def f7_time(name: str = "it", *, sf: float = 0.03, ks: list[int] | None = None) -> pd.DataFrame:
-    """Fig 7: partitioning runtime (and score-op work) vs #partitions."""
-    df = sweep(dataset(name, sf=sf), ALL_ALGOS, ks or DEFAULT_KS)
-    return df[["algo", "k", "seconds", "score_ops", "replication_factor"]]
 
 
 def f8_system(
@@ -145,8 +126,7 @@ def f8_system(
     stream = dataset(name, sf=sf)
     rows = []
     for algo in ALL_ALGOS:
-        r = run_point(stream, algo, k)
-        lay = layout_local(ordered_stream(stream, algo), r["_edge_partition"], k)
+        r, lay = run_point(stream, algo, k)
         for rtt in rtts_ms:
             sim = simulate(
                 lay, iterations=PAGERANK_ITERS, model=CostModel(rtt=rtt / 1e3)
@@ -230,30 +210,17 @@ def f11_analysis(
 ) -> pd.DataFrame:
     """Fig 11: RF vs relative load balance τ (a) and vs relative weight (b)."""
     stream = dataset("uk", sf=sf)
-    rows = []
-    for tau in taus:
-        res = clugp_partition(stream, k, tau=tau)
-        q = quality_local(stream, res.edge_partition, k)
-        rows.append(
-            {
-                "sweep": "tau",
-                "value": tau,
-                "replication_factor": round(q["replication_factor"], 4),
-                "relative_balance": round(q["relative_balance"], 4),
-            }
-        )
-    for w in weights:
-        res = clugp_partition(stream, k, lam=("weight", w))
-        q = quality_local(stream, res.edge_partition, k)
-        rows.append(
-            {
-                "sweep": "relative_weight",
-                "value": w,
-                "replication_factor": round(q["replication_factor"], 4),
-                "relative_balance": round(q["relative_balance"], 4),
-            }
-        )
-    return pd.DataFrame(rows)
+
+    def point(sweep_name: str, value: float, **kwargs) -> dict:
+        r, _ = run_point(stream, "clugp", k, **kwargs)
+        return {"sweep": sweep_name, "value": value,
+                "replication_factor": r["replication_factor"],
+                "relative_balance": r["relative_balance"]}
+
+    return pd.DataFrame(
+        [point("tau", tau, tau=tau) for tau in taus]
+        + [point("relative_weight", w, lam=("weight", w)) for w in weights]
+    )
 
 
 #: DESIGN.md §5 registry: artifact id -> runner (``jobs/table.py <id>``).
@@ -263,8 +230,6 @@ TABLES = {
     "f3": f3_rf_vs_k,
     "f4": f4_twitter,
     "f5": f5_sample_sizes,
-    "f6": f6_space,
-    "f7": f7_time,
     "f8": f8_system,
     "f9": f9_ablation,
     "f10": f10_parallel,

@@ -11,8 +11,9 @@ graphs that preserve the two properties CLUGP's claims rest on:
 * **BFS/crawl stream order** (footnote 1): edges are emitted in discovery
   order of their source vertex, so consecutive stream edges share locality
   — the property both Holl/CLUGP clustering and the batch parallelism
-  exploit.  ``stream_order='random'`` shuffles the stream for the
-  random-order baselines (HDRF/Greedy/Hash/DBH per §VI-A).
+  exploit.  ``EdgeStream.shuffled`` gives the random order of the
+  one-pass baselines (HDRF/Greedy/Hash/DBH per §VI-A); the experiment
+  harness picks each algorithm's order with ``ordered_stream``.
 
 Edges are produced as numpy arrays (the kernels are sequential streaming
 loops) and wrapped into Spark DataFrames with ``to_spark`` for the

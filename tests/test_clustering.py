@@ -82,9 +82,11 @@ def test_divided_vertices_have_mirror_clusters():
 
 
 def test_mirror_count_consistency():
+    """A mirror is a distinct (v, c) pair away from v's final cluster."""
     g = web_graph(sf=0.01, seed=2)
     c = stream_cluster(g, v_max=g.n_edges / 256, splitting=True)
-    assert c.n_mirrors == sum(len(v) for v in c.mirror_clusters.values())
+    pairs = {(v, cl) for v, cls in c.mirror_clusters.items() for cl in cls if cl != c.clu[v]}
+    assert c.n_mirrors == len(pairs)
 
 
 @pytest.mark.parametrize("splitting", [True, False])
@@ -174,6 +176,7 @@ _LOOPY_PINNED = {
         edge_cu=[1, 1, 2, 2, 3, 2, 4, 2, 5, 1, 6, 6, 7, 2, 8, 6, 9, 2, 10, 10, 4, 6, 11, 11, 6, 12, 2, 3],
         edge_cv=[1, 1, 1, 3, 3, 4, 2, 2, 2, 3, 6, 7, 6, 6, 6, 9, 9, 8, 2, 10, 5, 10, 11, 2, 11, 6, 12, 1],
         mirror_clusters={0: [1]},
+        n_mirrors=1,
     ),
     (6.0, True): dict(
         clu=[4, 1, 5, 7, 7, 12, 9, 13, 14, 15, 16, 17],
@@ -182,6 +185,8 @@ _LOOPY_PINNED = {
         edge_cu=[1, 1, 1, 4, 5, 4, 7, 4, 8, 1, 9, 9, 9, 4, 13, 12, 14, 4, 15, 15, 7, 12, 16, 16, 12, 17, 4, 5],
         edge_cv=[1, 1, 1, 4, 5, 4, 4, 4, 4, 5, 9, 9, 9, 12, 12, 14, 14, 13, 4, 15, 7, 15, 16, 4, 16, 12, 17, 1],
         mirror_clusters={0: [1, 1], 2: [4], 3: [4], 6: [9], 5: [9]},
+        # 0 lists cluster 1 twice and 6 lists its own cluster 9: 4 mirrors.
+        n_mirrors=4,
     ),
     (6.0, False): dict(
         clu=[1, 1, 2, 3, 3, 5, 5, 7, 8, 9, 10, 11],
@@ -190,6 +195,7 @@ _LOOPY_PINNED = {
         edge_cu=[1, 1, 1, 1, 2, 1, 3, 1, 4, 1, 5, 5, 5, 1, 7, 5, 8, 1, 9, 9, 3, 5, 10, 10, 5, 11, 1, 2],
         edge_cv=[1, 1, 1, 2, 2, 3, 1, 1, 1, 2, 5, 5, 5, 5, 5, 8, 8, 7, 1, 9, 3, 9, 10, 1, 10, 5, 11, 1],
         mirror_clusters={},
+        n_mirrors=0,
     ),
 }
 
@@ -202,5 +208,6 @@ def test_self_loops_and_repeated_edges_pinned(v_max, splitting):
     for field in ("clu", "deg", "vol", "edge_cu", "edge_cv"):
         assert getattr(c, field).tolist() == want[field], field
     assert c.mirror_clusters == want["mirror_clusters"]
+    assert c.n_mirrors == want["n_mirrors"]
     assert c.n_clusters == len(want["vol"])
     assert sorted(np.flatnonzero(c.divided).tolist()) == sorted(want["mirror_clusters"])

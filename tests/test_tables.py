@@ -4,29 +4,47 @@ Each runner is executed at a tiny scale — these validate plumbing; the
 bench-scale numbers come from ``python jobs/table.py <id>`` (the runner's
 defaults) and live in bench_results/ and EXPERIMENTS.md; the bench-scale
 paper claims are pinned in test_paper_shapes.py."""
+import pathlib
+
 import pandas as pd
 import pytest
 
+from repro.engine.gas import layout_local
 from repro.experiments import tables as T
 from repro.experiments.harness import ordered_stream, run_point, sweep, to_markdown
 from repro.experiments.paper_numbers import PAPER_CLAIMS
 from repro.graphs.generators import web_graph
+from repro.partitioners import get_partitioner
+
+ROOT = pathlib.Path(__file__).parent.parent
 
 TINY = dict(sf=0.002)
 KS = [2, 4]
 
 
 def test_registry_covers_all_artifacts():
-    assert set(T.TABLES) == {"t1", "t3", "f3", "f4", "f5", "f6", "f7", "f8", "f9", "f10", "f11"}
+    assert set(T.TABLES) == {"t1", "t3", "f3", "f4", "f5", "f8", "f9", "f10", "f11"}
     assert set(T.TABLES) == set(PAPER_CLAIMS)
 
 
+def test_bench_results_match_registry():
+    """Every registered table has its artifact, and every artifact a table."""
+    assert {p.stem for p in (ROOT / "bench_results").glob("*.md")} == set(T.TABLES)
+
+
 def test_run_point_schema(tiny_web):
-    r = run_point(tiny_web, "hashing", 4)
+    r, _ = run_point(tiny_web, "hashing", 4)
     for key in ("algo", "k", "replication_factor", "relative_balance", "seconds",
                 "space_mb", "score_ops"):
         assert key in r
     assert r["algo"] == "Hashing"
+
+
+@pytest.mark.parametrize("algo", ["hdrf", "clugp"])  # random order, BFS order
+def test_run_point_layout_is_its_assignments(tiny_web, algo):
+    st = ordered_stream(tiny_web, algo)
+    want = layout_local(st, get_partitioner(algo)(st, 4).edge_partition, 4)
+    assert run_point(tiny_web, algo, 4)[1] == want
 
 
 def test_sweep_shape(tiny_web):
@@ -61,10 +79,14 @@ def test_t3_datasets():
 
 @pytest.mark.parametrize("name", ["uk", "it"])
 def test_f3_runner(name):
-    df = T.f3_rf_vs_k(names=(name,), sf=0.002, ks=KS, algos=["clugp", "hashing"])
-    assert len(df) == 4
+    df = T.f3_rf_vs_k(names=(name,), sf=0.002, ks=KS, algos=["clugp", "hdrf", "hashing"])
+    assert len(df) == 6
     assert set(df.dataset) == {name}
     assert (df.replication_factor >= 1).all()
+    # Fig 6 and Fig 7 read these columns.
+    assert (df.loc[df.algo == "Hashing", "space_mb"] == 0).all()
+    assert (df.loc[df.algo == "HDRF", "space_mb"] > 0).all()
+    assert "score_ops" in df.columns and (df.seconds > 0).all()
 
 
 def test_f4_runner():
@@ -78,19 +100,6 @@ def test_f5_runner():
     df = T.f5_sample_sizes(sf=0.005, k=4, fractions=(0.5, 1.0), algos=["hashing"])
     assert len(df) == 2
     assert set(df.sample_frac) == {0.5, 1.0}
-
-
-def test_f6_runner():
-    df = T.f6_space(sf=0.002, ks=[4])
-    assert (df.loc[df.algo == "Hashing", "space_mb"] == 0).all()
-    assert (df.loc[df.algo == "HDRF", "space_mb"] > 0).all()
-    assert len(df) == len(T.ALL_ALGOS)
-
-
-def test_f7_runner():
-    df = T.f7_time(sf=0.002, ks=[4])
-    assert {"seconds", "score_ops"} <= set(df.columns)
-    assert len(df) == len(T.ALL_ALGOS) and (df.seconds > 0).all()
 
 
 def test_f8_runner():
@@ -130,15 +139,12 @@ def test_f11_runner():
 def test_jobs_importable():
     """``jobs/table.py`` lists every registered table and runs one, at the
     runner's own ``sf`` unless ``--sf`` is given."""
-    import pathlib
     import subprocess
     import sys
 
-    root = pathlib.Path(__file__).parent.parent
-
     def run(*args):
         return subprocess.run(
-            [sys.executable, "jobs/table.py", *args], cwd=root, capture_output=True, text=True
+            [sys.executable, "jobs/table.py", *args], cwd=ROOT, capture_output=True, text=True
         )
 
     out = run("--help")
