@@ -15,6 +15,10 @@ place and only the partial minima, one per (partition, receiving vertex
 vertex's own label among the values its ``min`` reads, and the self-loop
 row's label is the old label, so the same ``groupBy`` yields the change
 flag without a second join.
+
+``undirected_edges`` reads the assignment once and takes one exchange.
+Convergence is checked after every second round, so one Spark job runs
+two rounds; the price is at most one extra round that changes no label.
 """
 from __future__ import annotations
 
@@ -28,11 +32,12 @@ from repro.graphs.generators import EdgeStream
 
 def undirected_edges(assign: DataFrame) -> DataFrame:
     """``(v, u)`` for both directions of every edge and ``(v, v)`` for every
-    vertex, distinct, hash-partitioned on ``v``."""
-    e = assign.select("src", "dst")
-    und = e.select(F.col("src").alias("v"), F.col("dst").alias("u"))
-    for a, b in [("dst", "src"), ("src", "src"), ("dst", "dst")]:
-        und = und.unionAll(e.select(F.col(a).alias("v"), F.col(b).alias("u")))
+    vertex, distinct, hash-partitioned on ``v``.
+
+    All four rows of an edge come from one scan of the assignment, and the
+    one exchange, on ``v``, also serves the ``distinct``."""
+    pairs = [("src", "dst"), ("dst", "src"), ("src", "src"), ("dst", "dst")]
+    und = assign.select(F.inline(F.array(*(F.struct(F.col(a).alias("v"), F.col(b).alias("u")) for a, b in pairs))))
     return und.repartition("v").distinct()
 
 
@@ -59,24 +64,30 @@ def connected_components(assign: DataFrame, *, max_iters: int = 50) -> tuple[Dat
 
     ``undirected_edges`` and each round are ``localCheckpoint()``-ed
     lazily: the edges become a leaf of every round's plan, and each round
-    cuts the plan (round i plans what round 1 does).  Counting a round's
-    changes materialises it (the first count also the edges), so a round
-    is one Spark job.  Once the last round is materialised, every other
-    checkpoint is released: only the returned labels stay persisted.
+    cuts the plan (round i plans what round 1 does).  The changes are
+    counted after every second round (and after round ``max_iters``):
+    the count materialises both rounds (the first count also the edges),
+    so two rounds are one Spark job.  No change in the second round means
+    the first reached the fixpoint, so the result is the same as a check
+    after every round, found at most one round later.  Once the last
+    round is materialised, every other checkpoint is released: only the
+    returned labels stay persisted.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     edges = undirected_edges(assign).localCheckpoint(eager=False)
     labels = edges.where(F.col("v") == F.col("u")).select("v", F.col("v").alias("label"))
-    checkpoints = [edges]
-    for _ in range(max_iters):
-        step = cc_round(edges, labels).localCheckpoint(eager=False)
-        checkpoints.append(step)
-        labels = step.select("v", "label")
+    checkpoints, rounds = [edges], 0
+    while rounds < max_iters:
+        for _ in range(min(2, max_iters - rounds)):
+            step = cc_round(edges, labels).localCheckpoint(eager=False)
+            checkpoints.append(step)
+            labels = step.select("v", "label")
+            rounds += 1
         if step.where(F.col("label") < F.col("old")).count() == 0:
             break
     release_checkpoints(checkpoints[:-1])
-    return labels.select("v", F.col("label").alias("component")), len(checkpoints) - 1
+    return labels.select("v", F.col("label").alias("component")), rounds
 
 
 def cc_reference(stream: EdgeStream) -> np.ndarray:

@@ -17,7 +17,8 @@ superstep reads, the out-degree weights and a zero-weight self-loop per
 vertex, and it is hash-partitioned on the source ``v``, as the rank state
 is.  With adaptive query execution off (``jobs/common.py``) a checkpoint
 keeps that partitioning, so the ranks join the edges in place and only
-the partial sums, one per (partition, ``dst``), are shuffled.
+the partial sums, one per (partition, ``dst``), are shuffled.  Building
+the edge relation takes one more exchange, on ``v``.
 """
 from __future__ import annotations
 
@@ -45,12 +46,25 @@ def weighted_edges(assign: DataFrame) -> DataFrame:
     yields a rank for every vertex, including those without in-edges,
     with no join against the vertex set.  They are also the vertex set
     itself, the rows with ``w == 0``.
+
+    One exchange, no join: every endpoint is grouped on ``v`` into its
+    out-list (a destination-only vertex gets an empty one), and
+    ``posexplode`` of ``[v] + out-list`` yields the self-loop at position 0
+    and one weighted row per out-edge.  The grouping leaves the rows
+    hash-partitioned on ``v``, which is what the superstep join needs.
     """
-    edges = assign.select(F.col("src").alias("v"), "dst")
-    inv_outdeg = edges.groupBy("v").agg((1.0 / F.count("*")).alias("w"))
-    verts = edges.select("v").union(edges.select(F.col("dst").alias("v"))).distinct()
-    loops = verts.select("v", F.col("v").alias("dst"), F.lit(0.0).alias("w"))
-    return edges.join(inv_outdeg, "v").unionByName(loops).repartition("v")
+    out = assign.select(F.col("src").alias("v"), "dst").unionByName(
+        assign.select(F.col("dst").alias("v"), F.lit(None).cast("long").alias("dst"))
+    )
+    # collect_list skips the nulls: each vertex's out-list, one entry per
+    # edge, empty for a vertex with in-edges only.
+    lists = out.groupBy("v").agg(F.collect_list("dst").alias("outs"))
+    pos_dst = lists.select("v", F.size("outs").alias("outdeg"), F.posexplode(F.concat(F.array("v"), "outs")))
+    return pos_dst.select(
+        "v",
+        F.col("col").alias("dst"),
+        F.when(F.col("pos") == 0, F.lit(0.0)).otherwise(1.0 / F.col("outdeg")).alias("w"),
+    )
 
 
 def superstep(n: int, damping: float) -> Callable[[DataFrame, DataFrame], DataFrame]:

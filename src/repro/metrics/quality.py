@@ -8,11 +8,15 @@ masters (each vertex's min-partition copy).  Spark (``collect_counts``)
 and numpy (``partition_counts_local``) build the same ``(3, k)`` array;
 ``quality_from_counts`` derives the metrics from it.  Tests cross-check
 the Spark relation against DuckDB via ``repro.oracle.assert_equivalent``.
+
+The Spark plan takes two exchanges (one on the vertex, one on the
+partition) and holds no sort, window or sort-merge join.  Both builders
+reject a partition id outside [0, k).
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.graphs.generators import EdgeStream
@@ -24,37 +28,46 @@ def assignment_df(spark, stream: EdgeStream, edge_partition: np.ndarray) -> Data
     return spark.createDataFrame(pdf, schema="pos long, src long, dst long, partition long")
 
 
-def replicas(assign: DataFrame) -> DataFrame:
-    """The vertex-replica relation: one row per (vertex, partition) copy."""
-    return (
-        assign.select(F.col("src").alias("v"), "partition")
-        .unionAll(assign.select(F.col("dst").alias("v"), "partition"))
-        .distinct()
-    )
-
-
 def partition_counts(assign: DataFrame) -> DataFrame:
     """``(partition, edges, copies, masters)``: one row per used partition.
 
     A vertex's master is its min-partition copy.  PowerGraph hashes masters
     to machines; the deterministic rule gives the same counts and is
     reproducible.
+
+    Two exchanges, and no sort, window or sort-merge join: per vertex, its
+    set of partitions (grouped on ``v``), whose minimum is the master; then
+    per partition, one sum over a tagged union of ``(partition, 1, 0, 0)``
+    per edge and ``(p, 0, 1, p == master)`` per vertex copy.
     """
-    is_master = F.col("partition") == F.min("partition").over(Window.partitionBy("v"))
-    copies = (
-        replicas(assign)
-        .withColumn("is_master", is_master)
-        .groupBy("partition")
-        .agg(F.count("*").alias("copies"), F.count(F.when(F.col("is_master"), 1)).alias("masters"))
+    ends = assign.select(F.explode(F.array("src", "dst")).alias("v"), "partition")
+    parts = ends.groupBy("v").agg(F.collect_set("partition").alias("ps"))
+    copies = parts.select(F.explode("ps").alias("partition"), F.array_min("ps").alias("master")).select(
+        "partition",
+        F.lit(0).alias("edges"),
+        F.lit(1).alias("copies"),
+        (F.col("partition") == F.col("master")).cast("int").alias("masters"),
     )
-    edges = assign.groupBy("partition").agg(F.count("*").alias("edges"))
-    return edges.join(copies, "partition")
+    edges = assign.select("partition", F.lit(1).alias("edges"), F.lit(0).alias("copies"), F.lit(0).alias("masters"))
+    return edges.unionByName(copies).groupBy("partition").agg(
+        *(F.sum(c).alias(c) for c in ("edges", "copies", "masters"))
+    )
+
+
+def _check_partition_ids(ids: np.ndarray, k: int) -> None:
+    """Raise ``ValueError`` naming an id outside [0, k), if there is one."""
+    if len(ids):
+        lo, hi = int(ids.min()), int(ids.max())
+        if lo < 0 or hi >= k:
+            raise ValueError(f"partition id {lo if lo < 0 else hi} outside [0, {k})")
 
 
 def collect_counts(assign: DataFrame, k: int) -> np.ndarray:
     """``partition_counts`` as a ``(3, k)`` int64 array, in one ``collect()``."""
+    rows = partition_counts(assign).collect()
+    _check_partition_ids(np.array([r["partition"] for r in rows], dtype=np.int64), k)
     counts = np.zeros((3, k), dtype=np.int64)
-    for r in partition_counts(assign).collect():
+    for r in rows:
         counts[:, r["partition"]] = r["edges"], r["copies"], r["masters"]
     return counts
 
@@ -69,6 +82,7 @@ def partition_counts_local(
     Distinct keys sort by vertex, then partition: a vertex's first copy is
     its master.
     """
+    _check_partition_ids(edge_partition, k)
     _, dense = stream.densify()
     v = np.concatenate([dense.src, dense.dst])
     p = np.concatenate([edge_partition, edge_partition]).astype(np.int64)

@@ -1,5 +1,7 @@
 """Tests for the GAS engine substrate: layout accounting, PageRank,
 connected components, and the cost model."""
+import math
+import re
 import uuid
 
 import numpy as np
@@ -13,7 +15,7 @@ from repro.engine.costmodel import CostModel, SimulatedRun, simulate
 from repro.engine.gas import GraphLayout, layout, layout_local
 from repro.engine.pagerank import pagerank, pagerank_reference, superstep, weighted_edges
 from repro.graphs.generators import EdgeStream, dataset
-from repro.metrics.quality import assignment_df
+from repro.metrics.quality import assignment_df, partition_counts
 from repro.oracle import assert_equivalent
 from repro.partitioners import get_partitioner
 
@@ -62,10 +64,16 @@ def _jobs_and_stages(spark, fn):
     return out, len(jobs), len({s for j in jobs for s in tracker.getJobInfo(j).stageIds})
 
 
+def _operators(df) -> list[str]:
+    """The operators of ``df``'s executed plan, one line each, without the
+    tree drawing and the whole-stage-codegen marker ``*(n)``."""
+    lines = df._jdf.queryExecution().executedPlan().toString().splitlines()
+    return [re.sub(r"^[ :+-]*(\*\(\d+\) )?", "", line) for line in lines]
+
+
 def _exchanges(df) -> list[str]:
     """The ``Exchange`` operators of ``df``'s executed plan."""
-    ops = (line.lstrip(" :+-") for line in df._jdf.queryExecution().executedPlan().toString().splitlines())
-    return [op for op in ops if op.startswith("Exchange")]
+    return [op for op in _operators(df) if op.startswith("Exchange")]
 
 
 def _assert_pagerank_matches(assign, stream, iterations):
@@ -187,12 +195,34 @@ def test_pagerank_runs_in_a_constant_number_of_jobs(spark):
     assert many_stages - few_stages == 6
 
 
-@pytest.mark.parametrize("length", [3, 9])
+@pytest.mark.parametrize("length", [3, 4, 9])
 def test_cc_runs_one_job_per_round(spark, length):
-    assign = _assign(spark, EdgeStream(np.arange(length), np.arange(1, length + 1)))
-    (_, rounds), jobs, _ = _jobs_and_stages(spark, lambda: connected_components(assign))
-    assert rounds == length + 1
-    assert jobs == rounds
+    """One job runs two rounds: the change count reads every second round.
+
+    On a path of ``length`` edges the labels change for ``length`` rounds,
+    and a round that changes nothing ends the loop: that is ``length + 1``
+    rounds, and one more where ``length + 1`` is odd (``length`` 4)."""
+    stream = EdgeStream(np.arange(length), np.arange(1, length + 1))
+    assign = _assign(spark, stream)
+    (labels, rounds), jobs, _ = _jobs_and_stages(spark, lambda: connected_components(assign))
+    fixpoint = length + 1
+    assert rounds == fixpoint + fixpoint % 2
+    assert jobs == math.ceil(rounds / 2)
+    ref = pd.DataFrame(cc_reference(stream), columns=["v", "component"])
+    assert_equivalent(labels, "SELECT v, component FROM ref", ref=ref)
+
+
+def test_relations_plan_no_sort_window_or_sort_merge_join(spark, tiny_assign):
+    """The relations the Spark layers derive from the assignment plan no
+    sort, window or sort-merge join; the counts take two exchanges."""
+    stream, parts = tiny_assign
+    assign = assignment_df(spark, stream, parts)
+    for build in (partition_counts, weighted_edges, undirected_edges):
+        df = build(assign)
+        df.collect()
+        names = {re.match(r"\w+", op).group() for op in _operators(df)}
+        assert not names & {"Sort", "Window", "SortMergeJoin"}, (build.__name__, names)
+    assert len(_exchanges(partition_counts(assign))) <= 2
 
 
 def test_pagerank_superstep_exchanges_only_partial_sums(spark, tiny_assign):

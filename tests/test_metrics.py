@@ -7,10 +7,11 @@ from repro.engine.gas import GraphLayout, layout, layout_local
 from repro.graphs.generators import EdgeStream
 from repro.metrics.quality import (
     assignment_df,
+    collect_counts,
     partition_counts,
+    partition_counts_local,
     quality,
     quality_local,
-    replicas,
 )
 from repro.oracle import assert_equivalent
 from repro.partitioners import get_partitioner
@@ -31,46 +32,38 @@ def test_assignment_df_schema(spark, tiny_assignment):
 
 def test_partition_counts_oracle(spark, tiny_assignment):
     """Edges, union-distinct copies and min-partition masters per partition
-    via Spark == the same relation via DuckDB SQL."""
+    via Spark == the same relation via DuckDB SQL, on the tiny graph, on
+    the same graph with sparse 64-bit ids (ids × 2⁴⁰), and on an empty
+    assignment, whose counts are all zero."""
     stream, parts = tiny_assignment
-    assign = assignment_df(spark, stream, parts)
-    assert_equivalent(
-        partition_counts(assign),
-        """
-        WITH copies AS (
-          SELECT DISTINCT v, partition FROM (
-            SELECT src AS v, partition FROM assign
-            UNION ALL
-            SELECT dst AS v, partition FROM assign
-          )
-        ),
-        masters AS (SELECT min(partition) AS partition FROM copies GROUP BY v),
-        e AS (SELECT partition, count(*) AS edges FROM assign GROUP BY partition),
-        c AS (SELECT partition, count(*) AS copies FROM copies GROUP BY partition),
-        m AS (SELECT partition, count(*) AS masters FROM masters GROUP BY partition)
-        SELECT partition, edges, copies, coalesce(masters, 0) AS masters
-        FROM e JOIN c USING (partition) LEFT JOIN m USING (partition)
-        """,
-        assign=assign,
-    )
-
-
-def test_replicas_relation_oracle(spark, tiny_assignment):
-    stream, parts = tiny_assignment
-    assign = assignment_df(spark, stream, parts)
-    assert_equivalent(
-        replicas(assign).groupBy("partition").count().withColumnRenamed("count", "n"),
-        """
-        SELECT partition, count(*) AS n FROM (
-          SELECT DISTINCT v, partition FROM (
-            SELECT src AS v, partition FROM assign
-            UNION ALL
-            SELECT dst AS v, partition FROM assign
-          )
-        ) GROUP BY partition
-        """,
-        assign=assign,
-    )
+    empty = EdgeStream(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    inputs = [
+        (stream, parts),
+        (EdgeStream(stream.src << 40, stream.dst << 40), parts),
+        (empty, np.zeros(0, dtype=np.int64)),
+    ]
+    for s, p in inputs:
+        assign = assignment_df(spark, s, p)
+        assert_equivalent(
+            partition_counts(assign),
+            """
+            WITH copies AS (
+              SELECT DISTINCT v, partition FROM (
+                SELECT src AS v, partition FROM assign
+                UNION ALL
+                SELECT dst AS v, partition FROM assign
+              )
+            ),
+            masters AS (SELECT min(partition) AS partition FROM copies GROUP BY v),
+            e AS (SELECT partition, count(*) AS edges FROM assign GROUP BY partition),
+            c AS (SELECT partition, count(*) AS copies FROM copies GROUP BY partition),
+            m AS (SELECT partition, count(*) AS masters FROM masters GROUP BY partition)
+            SELECT partition, edges, copies, coalesce(masters, 0) AS masters
+            FROM e JOIN c USING (partition) LEFT JOIN m USING (partition)
+            """,
+            assign=assign,
+        )
+    assert not collect_counts(assign, 8).any()
 
 
 def test_quality_spark_vs_local(spark, tiny_assignment):
@@ -135,3 +128,22 @@ def test_local_metrics_independent_of_id_magnitude(tiny_web, algo):
     assert q_big["replication_factor"] == q["replication_factor"]
     assert q_big["n_replicas"] == q["n_replicas"]
     assert layout_local(shifted, parts, 8) == layout_local(tiny_web, parts, 8)
+
+
+@pytest.mark.parametrize("bad", [-1, 8])
+def test_collect_counts_rejects_partition_outside_k(spark, tiny_assignment, bad):
+    """An id of -1 would land in column k-1 through numpy's negative index."""
+    stream, parts = tiny_assignment
+    parts = parts.copy()
+    parts[0] = bad
+    with pytest.raises(ValueError, match=f"partition id {bad} outside"):
+        collect_counts(assignment_df(spark, stream, parts), 8)
+
+
+@pytest.mark.parametrize("bad", [-1, 8])
+def test_partition_counts_local_rejects_partition_outside_k(tiny_assignment, bad):
+    stream, parts = tiny_assignment
+    parts = parts.copy()
+    parts[-1] = bad
+    with pytest.raises(ValueError, match=f"partition id {bad} outside"):
+        partition_counts_local(stream, parts, 8)
