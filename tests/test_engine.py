@@ -218,9 +218,7 @@ def test_relations_plan_no_sort_window_or_sort_merge_join(spark, tiny_assign):
     stream, parts = tiny_assign
     assign = assignment_df(spark, stream, parts)
     for build in (partition_counts, weighted_edges, undirected_edges):
-        df = build(assign)
-        df.collect()
-        names = {re.match(r"\w+", op).group() for op in _operators(df)}
+        names = {re.match(r"\w+", op).group() for op in _operators(build(assign))}
         assert not names & {"Sort", "Window", "SortMergeJoin"}, (build.__name__, names)
     assert len(_exchanges(partition_counts(assign))) <= 2
 

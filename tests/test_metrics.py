@@ -37,13 +37,10 @@ def test_partition_counts_oracle(spark, tiny_assignment):
     assignment, whose counts are all zero."""
     stream, parts = tiny_assignment
     empty = EdgeStream(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    inputs = [
-        (stream, parts),
-        (EdgeStream(stream.src << 40, stream.dst << 40), parts),
-        (empty, np.zeros(0, dtype=np.int64)),
-    ]
-    for s, p in inputs:
-        assign = assignment_df(spark, s, p)
+    empty_assign = assignment_df(spark, empty, np.zeros(0, dtype=np.int64))
+    sparse = EdgeStream(stream.src << 40, stream.dst << 40)
+    inputs = [assignment_df(spark, stream, parts), assignment_df(spark, sparse, parts), empty_assign]
+    for assign in inputs:
         assert_equivalent(
             partition_counts(assign),
             """
@@ -63,7 +60,7 @@ def test_partition_counts_oracle(spark, tiny_assignment):
             """,
             assign=assign,
         )
-    assert not collect_counts(assign, 8).any()
+    assert not collect_counts(empty_assign, 8).any()
 
 
 def test_quality_spark_vs_local(spark, tiny_assignment):
