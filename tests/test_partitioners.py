@@ -10,7 +10,7 @@ import pytest
 from repro.experiments.harness import ordered_stream
 from repro.graphs.generators import EdgeStream
 from repro.metrics.quality import quality_local
-from repro.partitioners import all_partitioners, get_partitioner
+from repro.partitioners import all_partitioners, get_partitioner, partition_spark
 from repro.partitioners.base import PartitionResult
 
 ALGOS = ["hashing", "dbh", "greedy", "hdrf", "mint", "clugp", "clugp_s", "clugp_g"]
@@ -192,6 +192,20 @@ def test_empty_stream_gives_empty_assignment(algo):
 def test_k_below_one_rejected(tiny_web, algo, k):
     with pytest.raises(ValueError, match="k must be ≥ 1"):
         get_partitioner(algo)(tiny_web, k)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_partition_spark_rejects_k_below_one(spark, tiny_web, k):
+    """Raised on the driver, before a plan is built, not in a worker."""
+    with pytest.raises(ValueError, match="k must be ≥ 1"):
+        partition_spark(tiny_web.to_spark(spark), "clugp", k, n_nodes=2)
+
+
+@pytest.mark.parametrize("n_nodes", [0, -1])
+def test_partition_spark_rejects_n_nodes_below_one(spark, tiny_web, n_nodes):
+    """Raised here, not by the JVM's "Number of partitions" requirement."""
+    with pytest.raises(ValueError, match="n_nodes must be ≥ 1"):
+        partition_spark(tiny_web.to_spark(spark), "clugp", 4, n_nodes=n_nodes)
 
 
 #: Every algorithm whose assignment depends only on which endpoints are
