@@ -1,12 +1,13 @@
-"""Golden assignments of the CLUGP kernels, and the incremental best
-response checked against the dense scorer it replaced.
+"""Golden assignments of the CLUGP kernels and of every baseline, and the
+incremental best response checked against the dense scorer it replaced.
 
 The hashes pin ``clugp_partition(...).edge_partition`` bit for bit: a
 rewrite of any of the three passes must reproduce them unchanged.  Each is
 the sha256 of the assignment as little-endian int64, the digest the
 benchmark's golden check uses.  Next to each hash are the run's
 ``(n_clusters, game_rounds, score_ops)``, so a rewrite that reaches the
-same assignment by other work shows too.
+same assignment by other work shows too.  ``BASELINE_GOLDEN`` pins the
+five baselines the same way, each run over its ``ordered_stream`` order.
 """
 import hashlib
 
@@ -15,7 +16,9 @@ import pytest
 
 from repro.core.clugp import clugp_partition
 from repro.core.game import _best_response_pass, _cut_tables, lambda_max
+from repro.experiments.harness import ordered_stream
 from repro.graphs.generators import dataset
+from repro.partitioners import get_partitioner
 
 GOLDEN = [
     ("uk", 0.002, 4, {}, (713, 4, 23408),
@@ -66,6 +69,48 @@ def test_golden_assignment(name, sf, k, kwargs, counts, sha):
     res = clugp_partition(dataset(name, sf=sf), k, **kwargs)
     assert _digest(res.edge_partition) == sha
     assert (res.extra["n_clusters"], res.extra["game_rounds"], res.extra["score_ops"]) == counts
+
+
+BASELINE_GOLDEN = [
+    ("uk", 0.002, "hashing", 4, "12b202f2e17a8fa1bf68b5d7bee4a6b21791951363101cdcfa69d4900e7f1b91"),
+    ("uk", 0.002, "hashing", 64, "7f703fb057b2e4cc89ea18295e05958111d8cacc00e9801e9e8043694dbd2fd3"),
+    ("uk", 0.002, "dbh", 4, "9e0b44e934f1598a799d26558826e87c814811059be7873ebdd25d7b9aa1a98d"),
+    ("uk", 0.002, "dbh", 64, "24cbf665598aa01a4bd5528794070a87ac1d57a4452773ab3686fb3836a92485"),
+    ("uk", 0.002, "greedy", 4, "12967879fe075b07d087f84c0e4dff334199d0e48bf8dde0a97be83095a14a52"),
+    ("uk", 0.002, "greedy", 64, "0535149ec9590625a18b57b226e806351be880de88e644fc77d7bae6c730dd13"),
+    ("uk", 0.002, "hdrf", 4, "447610765f7b5bb40d99915a181620d13698e80255da1affb4bd42f80962263d"),
+    ("uk", 0.002, "hdrf", 64, "1088359daae6ab46d9884a20986442ffc09bd08c31be786b18384b06fd2266c2"),
+    ("uk", 0.002, "mint", 4, "148aca4b1cd01b7a063a27415a6329f33ef9b629791ad60fe6d7f5c0a66876a3"),
+    ("uk", 0.002, "mint", 64, "5ebbb1ee98edfbd17559fda63f1d549af8e6dbad66117c5cb9827734c49ca0fd"),
+    ("it", 0.001, "hashing", 4, "531482e05b3d69fa9c19e23e7966606051f82ee8e0f7378519ec3933645b8229"),
+    ("it", 0.001, "hashing", 64, "09b68420b4ea68c339c981cd1931acccee1581dc2bdcfcb24acb93707493ab38"),
+    ("it", 0.001, "dbh", 4, "ac46a6264055ab601984c1f43be131b022abd75b298245563b3d86cf9359a1b7"),
+    ("it", 0.001, "dbh", 64, "280b6ab14badb61ef011c3e32cd500aedcf781304c3d86ffdb852bc7b80f7b77"),
+    ("it", 0.001, "greedy", 4, "4766aafae6a080f350d160ee65b2fdb4c876f3e459ec86220cc01b9b32d4dc06"),
+    ("it", 0.001, "greedy", 64, "9be06dac10acd84e081c9167d10011375a4cb8b36aca7548d268ef528dd81e63"),
+    ("it", 0.001, "hdrf", 4, "c1fb911d1473cd346a75a23de242af72a3b798960e293d0b3c8b0f7cc1bdb182"),
+    ("it", 0.001, "hdrf", 64, "1b38fad22978f4fc55213825430e920ae3600aaeb8b99dc02724d4b376f1c610"),
+    ("it", 0.001, "mint", 4, "0420de7028182ee838ef168687eb7a5f60b1bc003460ac81290b2f3bf9f2bf4b"),
+    ("it", 0.001, "mint", 64, "d50d89f15e0c07733d74d79da58b06635e9692b63e57f120bf9b5daca6423f58"),
+    ("twitter", 0.001, "hashing", 4, "1c5f76f53c93d77bf313bb061cec9e03d1e6eb4012ba6317f64731f6dcc5e266"),
+    ("twitter", 0.001, "hashing", 64, "05278656171af0f534c1ccd0ba8ea8e845197c946de957979faeab20a9adee45"),
+    ("twitter", 0.001, "dbh", 4, "440ff2f4cab4213d100c169f3fc2dab03fe57bc71c78c6bd1461adb8ce9fcddd"),
+    ("twitter", 0.001, "dbh", 64, "0ba0f1f091a363c6e84cd14149e38b63fb18dcc81c212b532652e6ada98e6a40"),
+    ("twitter", 0.001, "greedy", 4, "cf39cc74b738a151f0a870eb2fd24f2f8961ae10140153d1a73558bab9fa95c5"),
+    ("twitter", 0.001, "greedy", 64, "b1c5e1ce4ce2854b1658f98ddbc8f2812fb158465257c0a81e7caed6c812f2a3"),
+    ("twitter", 0.001, "hdrf", 4, "94776f0a8bf847725c20ed6d503a41867252928ac3eb07b469083ef1e0f0fb19"),
+    ("twitter", 0.001, "hdrf", 64, "07d7dd761ceeed5778cf1169ab20c468ee8a5b67796d41c6605193623cb371e1"),
+    ("twitter", 0.001, "mint", 4, "d0a42db1d32385d1e5dbe4107fc294608e099369c767af362a04cce03e97da79"),
+    ("twitter", 0.001, "mint", 64, "6369349db84b8ed3e8ccca6ec65008da4d96471c76586747c9678d3d5171d386"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,sf,algo,k,sha", BASELINE_GOLDEN, ids=[f"{a}-{n}-k{k}" for n, _, a, k, _ in BASELINE_GOLDEN]
+)
+def test_baseline_golden_assignment(name, sf, algo, k, sha):
+    stream = ordered_stream(dataset(name, sf=sf), algo)
+    assert _digest(get_partitioner(algo)(stream, k).edge_partition) == sha
 
 
 def _dense_best_response_pass(clusters, assignment, loads, sizes, ext, adj, lam, k):
