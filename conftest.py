@@ -23,7 +23,8 @@ def _driver_mem() -> str:
         "/sys/fs/cgroup/memory/memory.limit_in_bytes",
     ):
         try:
-            raw = open(p).read().strip()
+            with open(p) as f:
+                raw = f.read().strip()
             if not raw or raw == "max":
                 continue
             gib = int(raw) / (1 << 30)

@@ -26,7 +26,7 @@ kernel over its own substream (`repro.partitioners.base.partition_spark`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,17 +44,24 @@ class ClusteringResult:
     clu: np.ndarray          # vertex -> final cluster id (-1 = never seen)
     deg: np.ndarray          # vertex -> degree counted from the stream
     vol: np.ndarray          # cluster id -> volume
-    n_clusters: int
-    divided: np.ndarray      # bool per vertex: was ever split out (has mirrors)
-    mirror_clusters: dict[int, list[int]] = field(default_factory=dict)
-    v_max: float = 0.0
+    # Divided vertex -> the clusters it was split out of, one entry per split.
+    mirror_clusters: dict[int, list[int]]
     # Stream-time cluster of each edge's endpoints (recorded when the edge
     # was processed, per Fig 2(b): e(v,v₁) belongs to c₁ even though v's
     # *earlier* edges stay behind in c₀). The cluster graph for pass 2 is
     # built from these, not from the final clu[] — a later split must not
     # retroactively rip a vertex's history out of its old clusters.
-    edge_cu: np.ndarray | None = None
-    edge_cv: np.ndarray | None = None
+    edge_cu: np.ndarray
+    edge_cv: np.ndarray
+
+    @property
+    def n_clusters(self) -> int:
+        return len(self.vol)
+
+    @property
+    def divided(self) -> np.ndarray:
+        """Bool per vertex: was ever split out (has mirrors)."""
+        return np.isin(np.arange(len(self.clu)), list(self.mirror_clusters))
 
     @property
     def n_mirrors(self) -> int:
@@ -98,7 +105,6 @@ def stream_cluster(
     clu = [-1] * n
     deg = [0] * n
     vol: list[int] = []  # cluster id -> volume; a new cluster appends
-    divided = [False] * n
     mirror_clusters: dict[int, list[int]] = {}
     edge_cu = [0] * len(src)
     edge_cv = [0] * len(src)
@@ -143,7 +149,6 @@ def stream_cluster(
                 clu[u] = len(vol)
                 vol.append(d_u)
                 vol[c_u] -= d_u
-                divided[u] = True
                 mirror_clusters.setdefault(u, []).append(c_u)
                 c_u = clu[u]
                 if u == v:
@@ -152,7 +157,6 @@ def stream_cluster(
                 clu[v] = len(vol)
                 vol.append(d_v)
                 vol[c_v] -= d_v
-                divided[v] = True
                 mirror_clusters.setdefault(v, []).append(c_v)
                 c_v = clu[v]
         # -- migration ----------------------------------------------------
@@ -180,10 +184,7 @@ def stream_cluster(
         clu=np.array(clu, dtype=np.int64),
         deg=np.array(deg, dtype=np.int64),
         vol=np.array(vol, dtype=np.int64),
-        n_clusters=len(vol),
-        divided=np.array(divided, dtype=bool),
         mirror_clusters=mirror_clusters,
-        v_max=float(v_max),
         edge_cu=np.array(edge_cu, dtype=np.int64),
         edge_cv=np.array(edge_cv, dtype=np.int64),
     )
@@ -201,7 +202,7 @@ def cluster_graph(clustering: ClusteringResult):
     """
     n_clusters = clustering.n_clusters
     cu, cv = clustering.edge_cu, clustering.edge_cv
-    if cu is None or np.any(cu < 0) or np.any(cv < 0):
+    if np.any(cu < 0) or np.any(cv < 0):
         raise ValueError("cluster_graph: stream contains unclustered vertices")
     sizes = np.bincount(cu[cu == cv], minlength=n_clusters).astype(np.int64)
 

@@ -54,15 +54,15 @@ def transform(
     n_e = stream.n_edges
     l_max = tau * n_e / k
     loads = [0] * k
-    deg, divided = clustering.deg.tolist(), clustering.divided.tolist()
+    deg = clustering.deg.tolist()
     a = cluster_partition
     out: list[int] = []
     # Loads only grow, so the first underfull partition only moves right.
     first_under = 0
 
-    # Partitions holding pass-1 mirror copies of each divided vertex —
-    # the O(1)-per-edge lookup behind Alg 1 lines 17–19 ("assign e to the
-    # partitions where u(v)'s mirror vertex belongs to").
+    # Keyed by divided vertex: the partitions holding its pass-1 mirrors
+    # (never empty) — the O(1)-per-edge lookup behind Alg 1 lines 17–19
+    # ("assign e to the partitions where u(v)'s mirror vertex belongs to").
     mirror_parts: dict[int, set[int]] = {
         v: {int(a[c]) for c in cs} for v, cs in clustering.mirror_clusters.items()
     }
@@ -88,7 +88,7 @@ def transform(
                 p = first_under if first_under < k else loads.index(min(loads))
         elif p_u == p_v:
             p = p_u
-        elif divided[u] or divided[v]:
+        elif u in mirror_parts or v in mirror_parts:
             # Reuse an existing replica: if the other endpoint's partition
             # already holds a mirror of the divided vertex, the edge costs
             # zero new replicas there.
@@ -98,9 +98,9 @@ def transform(
                 p = p_v
             elif p_u in m_v:
                 p = p_u
-            elif divided[u] and divided[v]:
+            elif m_u and m_v:
                 p = p_u if loads[p_u] <= loads[p_v] else p_v
-            elif divided[u]:
+            elif m_u:
                 p = p_v  # cut the already-replicated u again
             else:
                 p = p_u

@@ -9,13 +9,14 @@ Those quantities are deterministic functions of the partitioning:
 * communication: each mirror exchanges one gather + one apply message
   with its master per superstep; the busiest node serialises its own
   message volume over the NIC and every superstep pays two synchronised
-  round trips (gather-barrier + apply-barrier) of latency.
+  round trips (gather-barrier + apply-barrier, ``BARRIERS_PER_ITER``) of
+  latency ``CostModel.rtt``, the one setting: Fig 8 sweeps it.
 
-Constants are calibrated to commodity-cluster magnitudes (t_edge ≈ 40 ns
-per edge-update on one core; t_msg ≈ 1.6 µs per 200-byte message at
-1 Gb/s).  Absolute seconds are a simulation; the cross-partitioner
-*ratios* — the thing Fig 8 compares — depend only on the measured layout
-counters.
+The module constants are calibrated to commodity-cluster magnitudes
+(``T_EDGE`` ≈ 40 ns per edge-update on one core; ``T_MSG`` ≈ 1.6 µs per
+200-byte message at 1 Gb/s).  Absolute seconds are a simulation; the
+cross-partitioner *ratios* — the thing Fig 8 compares — depend only on
+the measured layout counters.
 """
 from __future__ import annotations
 
@@ -23,13 +24,14 @@ from dataclasses import dataclass
 
 from repro.engine.gas import GraphLayout
 
+T_EDGE = 40e-9    # seconds per local edge update
+T_MSG = 1.6e-6    # seconds per sync message on the busiest NIC
+BARRIERS_PER_ITER = 2  # gather barrier + apply barrier
+
 
 @dataclass(frozen=True)
 class CostModel:
-    t_edge: float = 40e-9    # seconds per local edge update
-    t_msg: float = 1.6e-6    # seconds per sync message on the busiest NIC
-    rtt: float = 0.0         # network round-trip latency (PUMBA sweep)
-    barriers_per_iter: int = 2  # gather barrier + apply barrier
+    rtt: float = 0.0  # network round-trip latency (PUMBA sweep)
 
 
 @dataclass(frozen=True)
@@ -45,11 +47,8 @@ class SimulatedRun:
 
 def simulate(layout: GraphLayout, *, iterations: int, model: CostModel = CostModel()) -> SimulatedRun:
     """Simulated BSP runtime of ``iterations`` supersteps on this layout."""
-    comp = iterations * layout.max_part_edges * model.t_edge
-    comm = iterations * (
-        layout.max_part_mirror_msgs * model.t_msg
-        + model.barriers_per_iter * model.rtt
-    )
+    comp = iterations * layout.max_part_edges * T_EDGE
+    comm = iterations * (layout.max_part_mirror_msgs * T_MSG + BARRIERS_PER_ITER * model.rtt)
     return SimulatedRun(
         computation_s=comp,
         communication_s=comm,

@@ -9,7 +9,7 @@ oracle pattern.
 
 Formulation: standard damped PageRank without dangling-mass
 redistribution, ``r' = (1−d)/N + d·Σ_{(u,v)∈E} r(u)/outdeg(u)`` — matching
-PowerGraph's example program.
+PowerGraph's example program, with its d = 0.85 as ``DAMPING``.
 
 One superstep is one co-partitioned join, one aggregate and exactly one
 exchange.  The edge relation, checkpointed once, carries everything a
@@ -30,6 +30,8 @@ from pyspark.sql import functions as F
 
 from repro.engine import release_checkpoints
 from repro.graphs.generators import EdgeStream
+
+DAMPING = 0.85  # d of every PageRank here, PowerGraph's value
 
 
 def _check_iterations(iterations: int) -> None:
@@ -92,7 +94,7 @@ def superstep(n: int, damping: float) -> Callable[[DataFrame, DataFrame], DataFr
     return step
 
 
-def pagerank(assign: DataFrame, *, iterations: int = 10, damping: float = 0.85) -> DataFrame:
+def pagerank(assign: DataFrame, *, iterations: int = 10) -> DataFrame:
     """Run PageRank over the edge relation; returns (v, rank).
 
     ``weighted_edges`` is ``localCheckpoint()``-ed once, which makes it a
@@ -111,7 +113,7 @@ def pagerank(assign: DataFrame, *, iterations: int = 10, damping: float = 0.85) 
     # An empty graph gives an empty result whatever n is.
     n = max(verts.count(), 1)
     ranks = verts.select("v", F.lit(1.0 / n).alias("rank"))
-    step = superstep(n, damping)
+    step = superstep(n, DAMPING)
     checkpoints = [edges]
     for i in range(iterations):
         ranks = step(edges, ranks).localCheckpoint(eager=i == iterations - 1)
@@ -120,7 +122,7 @@ def pagerank(assign: DataFrame, *, iterations: int = 10, damping: float = 0.85) 
     return ranks
 
 
-def pagerank_reference(stream: EdgeStream, *, iterations: int = 10, damping: float = 0.85) -> np.ndarray:
+def pagerank_reference(stream: EdgeStream, *, iterations: int = 10) -> np.ndarray:
     """Dense numpy power iteration with identical semantics (the oracle)."""
     _check_iterations(iterations)
     ids, dense = stream.densify()
@@ -133,5 +135,5 @@ def pagerank_reference(stream: EdgeStream, *, iterations: int = 10, damping: flo
     for _ in range(iterations):
         contrib = np.zeros(n)
         np.add.at(contrib, dst, r[src] / outdeg[src])
-        r = (1.0 - damping) / n + damping * contrib
+        r = (1.0 - DAMPING) / n + DAMPING * contrib
     return np.column_stack([ids, r])

@@ -21,6 +21,8 @@ from repro.partitioners import get_partitioner
 #: §VI-A streaming orders: random is best for the one-pass baselines.
 RANDOM_ORDER = frozenset({"hashing", "dbh", "greedy", "hdrf"})
 
+FLOAT_FMT = "%.3f"  # how ``to_markdown`` prints a float cell
+
 #: Display names used in EXPERIMENTS.md, keyed by registry alias.
 DISPLAY = {
     "clugp": "CLUGP",
@@ -65,13 +67,13 @@ def sweep(stream: EdgeStream, algos: list[str], ks: list[int], **kwargs) -> pd.D
     return pd.DataFrame([run_point(stream, algo, k, **kwargs)[0] for k in ks for algo in algos])
 
 
-def to_markdown(df: pd.DataFrame, float_fmt: str = "%.3f") -> str:
-    """Markdown table without the tabulate dependency."""
+def to_markdown(df: pd.DataFrame) -> str:
+    """Markdown table without the tabulate dependency; floats as ``FLOAT_FMT``."""
     cols = list(df.columns)
     lines = ["| " + " | ".join(cols) + " |", "|" + "|".join("---" for _ in cols) + "|"]
     for _, row in df.iterrows():
         cells = [
-            float_fmt % v if isinstance(v, (float, np.floating)) else str(v)
+            FLOAT_FMT % v if isinstance(v, (float, np.floating)) else str(v)
             for v in row
         ]
         lines.append("| " + " | ".join(cells) + " |")

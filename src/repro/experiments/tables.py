@@ -119,11 +119,10 @@ def f5_sample_sizes(
 def f8_system(
     *, sf: float = 0.03, k: int = 32,
     rtts_ms: tuple[float, ...] = (0.0, 10.0, 50.0, 100.0),
-    name: str = "it",
 ) -> pd.DataFrame:
-    """Fig 8: simulated PageRank computation/communication per partitioner,
-    with the PUMBA-style RTT sweep."""
-    stream = dataset(name, sf=sf)
+    """Fig 8: simulated PageRank computation/communication per partitioner
+    on IT, with the PUMBA-style RTT sweep."""
+    stream = dataset("it", sf=sf)
     rows = []
     for algo in ALL_ALGOS:
         r, lay = run_point(stream, algo, k)

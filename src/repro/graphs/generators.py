@@ -35,6 +35,10 @@ if TYPE_CHECKING:
 _V_PER_SF = 200_000
 _E_PER_SF = 3_000_000
 
+#: ``_zipf_capped``'s hub caps: the web crawls' ``d_max/|E|`` and twitter's.
+WEB_MAX_DEGREE_FRAC = 1e-3
+SOCIAL_MAX_DEGREE_FRAC = 4e-3
+
 #: Named presets mirroring Table III's five datasets (relative |E|/|V|
 #: densities roughly follow the real graphs: webbase is sparse-and-wide,
 #: it/arabic dense, twitter hub-heavy with no crawl locality).
@@ -117,7 +121,7 @@ class EdgeStream:
         return spark.createDataFrame(self.to_pandas())
 
 
-def _zipf_capped(n_v: int, alpha: float, n_e: int, max_degree_frac: float) -> np.ndarray:
+def _zipf_capped(n_v: int, alpha: float, max_degree_frac: float) -> np.ndarray:
     """Zipf(α−1) popularity over vertex ranks with hub mass capped.
 
     Real web crawls have ``d_max/|E| ≈ 1e-3`` (uk-2002: 195k/300M), which
@@ -134,8 +138,7 @@ def _zipf_capped(n_v: int, alpha: float, n_e: int, max_degree_frac: float) -> np
 
 
 def web_graph(*, sf: float = 0.01, alpha: float = 2.1, locality: float = 0.75,
-              v_scale: float = 1.0, e_scale: float = 1.0,
-              max_degree_frac: float = 1e-3, seed: int = 0) -> EdgeStream:
+              v_scale: float = 1.0, e_scale: float = 1.0, seed: int = 0) -> EdgeStream:
     """Power-law web crawl with BFS-like stream order.
 
     A vectorised copying model: vertex ids are assigned in crawl-discovery
@@ -154,7 +157,7 @@ def web_graph(*, sf: float = 0.01, alpha: float = 2.1, locality: float = 0.75,
     src = (frontier - g.integers(0, 8, n_e)).clip(0).astype(np.int64)
 
     # Destinations: Zipf ranks over discovery order → early pages are hubs.
-    zipf_p = _zipf_capped(n_v, alpha, n_e, max_degree_frac)
+    zipf_p = _zipf_capped(n_v, alpha, WEB_MAX_DEGREE_FRAC)
     hub_dst = g.choice(n_v, size=n_e, p=zipf_p)
     local_dst = (src + g.integers(1, 64, n_e)) % n_v
     use_local = g.random(n_e) < locality
@@ -166,8 +169,7 @@ def web_graph(*, sf: float = 0.01, alpha: float = 2.1, locality: float = 0.75,
 
 
 def social_graph(*, sf: float = 0.01, alpha: float = 1.8, v_scale: float = 1.0,
-                 e_scale: float = 1.0, max_degree_frac: float = 4e-3,
-                 seed: int = 0) -> EdgeStream:
+                 e_scale: float = 1.0, seed: int = 0) -> EdgeStream:
     """Twitter-like follower graph: two-sided skew, no crawl locality.
 
     Both endpoints are Zipf-distributed (celebrity hubs on the in-side,
@@ -178,8 +180,8 @@ def social_graph(*, sf: float = 0.01, alpha: float = 1.8, v_scale: float = 1.0,
     n_v = max(16, int(_V_PER_SF * sf * v_scale))
     n_e = max(32, int(_E_PER_SF * sf * e_scale))
     g = np.random.default_rng(seed)
-    p_in = _zipf_capped(n_v, alpha, n_e, max_degree_frac)
-    p_out = _zipf_capped(n_v, alpha + 0.4, n_e, max_degree_frac)
+    p_in = _zipf_capped(n_v, alpha, SOCIAL_MAX_DEGREE_FRAC)
+    p_out = _zipf_capped(n_v, alpha + 0.4, SOCIAL_MAX_DEGREE_FRAC)
     src = g.choice(n_v, size=n_e, p=p_out).astype(np.int64)
     # Permute hub identities on the out side so in- and out-hubs differ.
     perm = g.permutation(n_v)
@@ -195,5 +197,4 @@ def dataset(name: str, *, sf: float = 0.01, seed_offset: int = 0) -> EdgeStream:
     kind, seed = cfg.pop("kind"), cfg.pop("seed") + seed_offset
     if kind == "web":
         return web_graph(sf=sf, seed=seed, **cfg)
-    cfg.pop("locality", None)
     return social_graph(sf=sf, seed=seed, **cfg)

@@ -7,6 +7,9 @@ The classic four-rule heuristic, per Gonzalez et al. (OSDI'12):
 3. exactly one endpoint placed → one of its partitions (least loaded);
 4. neither placed → globally least-loaded partition.
 
+Rules 2–4 all pick the least-loaded partition of P(u) ∪ P(v), or of all k
+when that is empty, so the kernel runs one rule; ties go to the lowest id.
+
 State is the full vertex→partition-set replica table plus partition loads
 — the "global status table" whose maintenance makes heuristic methods the
 high-cost row of Table I (O(k) work per edge, O(RF·|V|) space).
@@ -29,21 +32,10 @@ def greedy_partition(stream: EdgeStream, k: int) -> PartitionResult:
 
     for i, (u, v) in enumerate(zip(stream.src.tolist(), stream.dst.tolist())):
         ru, rv = rep[u], rep[v]
-        inter = ru & rv
-        if inter.any():
-            cand = inter
-        elif ru.any() and rv.any():
+        cand = ru & rv
+        if not cand.any():
             cand = ru | rv
-        elif ru.any():
-            cand = ru
-        elif rv.any():
-            cand = rv
-        else:
-            cand = None
-        if cand is None:
-            p = int(np.argmin(loads))
-        else:
-            p = int(np.argmin(np.where(cand, loads, inf)))
+        p = int(np.argmin(np.where(cand, loads, inf) if cand.any() else loads))
         out[i] = p
         loads[p] += 1
         ru[p] = True

@@ -29,17 +29,15 @@ def _hash64(x: np.ndarray) -> np.ndarray:
 
 
 @register("hashing")
-def hashing_partition(stream: EdgeStream, k: int, *, seed: int = 0) -> PartitionResult:
+def hashing_partition(stream: EdgeStream, k: int) -> PartitionResult:
     """Random edge placement by hashing the (src,dst) pair."""
-    key = stream.src.astype(np.uint64) * np.uint64(1_000_003) + stream.dst.astype(
-        np.uint64
-    ) + np.uint64(seed)
+    key = stream.src.astype(np.uint64) * np.uint64(1_000_003) + stream.dst.astype(np.uint64)
     parts = (_hash64(key) % np.uint64(k)).astype(np.int64)
     return PartitionResult(parts, k, space_bytes=0, extra={"score_ops": 0})
 
 
 @register("dbh")
-def dbh_partition(stream: EdgeStream, k: int, *, seed: int = 0) -> PartitionResult:
+def dbh_partition(stream: EdgeStream, k: int) -> PartitionResult:
     """Degree-Based Hashing: hash the lower-partial-degree endpoint.
 
     The original ids are hashed; the modeled degree array has one entry
@@ -61,7 +59,7 @@ def dbh_partition(stream: EdgeStream, k: int, *, seed: int = 0) -> PartitionResu
     deg_src = ranks[0::2]
     deg_dst = ranks[1::2]
     cut_src = deg_src <= deg_dst  # lower partial degree is hashed
-    key = np.where(cut_src, stream.src, stream.dst).astype(np.uint64) + np.uint64(seed)
+    key = np.where(cut_src, stream.src, stream.dst).astype(np.uint64)
     parts = (_hash64(key) % np.uint64(k)).astype(np.int64)
     n_v = len(boundaries) + 1 if len(seq) else 0
     return PartitionResult(parts, k, space_bytes=8 * n_v, extra={"score_ops": stream.n_edges})

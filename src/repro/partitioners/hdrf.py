@@ -10,6 +10,7 @@ from the stream, every partition p is scored
     θ(u) = δ(u) / (δ(u) + δ(v))
 
 and the edge goes to the argmax — replicating high-degree vertices first.
+λ = ``LAMBDA`` and ε = ``EPSILON`` are module constants (DESIGN.md §6).
 Like Greedy it keeps the full replica table and scores all k partitions
 per edge: O(k) time per edge (the Fig 7 scaling wall) and O(RF·|V|) space
 (the Fig 6 bar).
@@ -21,11 +22,13 @@ import numpy as np
 from repro.graphs.generators import EdgeStream
 from repro.partitioners.base import PartitionResult, register
 
+#: The score's λ (balance weight) and ε (keeps it finite at equal loads).
+LAMBDA = 1.0
+EPSILON = 1.0
+
 
 @register("hdrf")
-def hdrf_partition(
-    stream: EdgeStream, k: int, *, lam: float = 1.0, eps: float = 1.0
-) -> PartitionResult:
+def hdrf_partition(stream: EdgeStream, k: int) -> PartitionResult:
     ids, stream = stream.densify()
     n = len(ids)
     rep = np.zeros((n, k), dtype=bool)
@@ -41,7 +44,7 @@ def hdrf_partition(
         g_u = np.where(rep[u], 2.0 - theta_u, 0.0)
         g_v = np.where(rep[v], 1.0 + theta_u, 0.0)  # 1 + (1 − θ(v))
         mx, mn = loads.max(), loads.min()
-        c_bal = lam * (mx - loads) / (eps + mx - mn)
+        c_bal = LAMBDA * (mx - loads) / (EPSILON + mx - mn)
         p = int(np.argmax(g_u + g_v + c_bal))
         out[i] = p
         loads[p] += 1

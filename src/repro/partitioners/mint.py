@@ -15,7 +15,9 @@ but several best-response rounds of O(k) scoring per edge per window.
 The rounds are executed Jacobi-style (all edges re-choose against a
 snapshot, then memberships/loads rebuild), which vectorises the whole
 window into a handful of numpy ops while keeping the game's fixed-point
-semantics; a no-move round terminates the window.
+semantics; a no-move round terminates the window.  β, the round cap
+and the seed are the module constants ``BETA``, ``MAX_ROUNDS`` and
+``SEED`` (DESIGN.md §6); the window is the one setting.
 """
 from __future__ import annotations
 
@@ -24,21 +26,19 @@ import numpy as np
 from repro.graphs.generators import EdgeStream
 from repro.partitioners.base import PartitionResult, register
 
+#: β (load weight), rounds per window at most, seed of the initial
+#: choices and the damping draws.
+BETA = 1.0
+MAX_ROUNDS = 8
+SEED = 0
+
 
 @register("mint")
-def mint_partition(
-    stream: EdgeStream,
-    k: int,
-    *,
-    window: int = 4096,
-    beta: float = 1.0,
-    max_rounds: int = 8,
-    seed: int = 0,
-) -> PartitionResult:
+def mint_partition(stream: EdgeStream, k: int, *, window: int = 4096) -> PartitionResult:
     n_e = stream.n_edges
     loads = np.zeros(k, dtype=np.int64)
     out = np.empty(n_e, dtype=np.int64)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     score_ops = 0
 
     for w0 in range(0, n_e, window):
@@ -50,7 +50,7 @@ def mint_partition(
         assign = rng.integers(0, k, w_n)
         seen = max(1, w1)
 
-        for _ in range(max_rounds):
+        for _ in range(MAX_ROUNDS):
             score_ops += w_n * k
             members = np.zeros((len(verts), k), dtype=np.int64)
             np.add.at(members, (lu, assign), 1)
@@ -64,7 +64,7 @@ def mint_partition(
             m_v[rows, assign] -= 1
             wl = wloads[None, :].astype(np.float64).repeat(w_n, axis=0)
             wl[rows, assign] -= 1
-            cost = beta * wl * k / seen + (m_u == 0) + (m_v == 0)
+            cost = BETA * wl * k / seen + (m_u == 0) + (m_v == 0)
             # Hard capacity mask (τ=1.1), mirroring the balance
             # constraint of Eq 1 — the soft β term alone lets hub
             # partitions drift at large k.
