@@ -141,19 +141,20 @@ def test_greedy_rules_2_to_4():
     """Rules 2–4 on a hand-built stream, k = 4: the least-loaded partition
     of P(u) ∪ P(v), or of all partitions when both are unplaced; a load
     tie goes to the lowest partition id."""
-    s = EdgeStream(np.array([0, 2, 4, 6, 0, 9, 0, 1, 2]), np.array([1, 3, 5, 7, 8, 2, 2, 4, 10]))
+    s = EdgeStream(np.array([0, 2, 4, 6, 8, 2, 0, 1, 0, 6]), np.array([1, 3, 5, 7, 6, 9, 4, 6, 3, 10]))
     p = get_partitioner("greedy")(s, 4).edge_partition.tolist()
-    # Rule 4, neither placed: global argmin of [0,0,0,0], [1,0,0,0],
-    # [1,1,0,0] and [1,1,1,0], each a tie broken to the lowest id.
+    # Rule 4, neither placed: the global argmin of [0,0,0,0], [1,0,0,0],
+    # [1,1,0,0] (ties to the lowest id) and [1,1,1,0].
     assert p[:4] == [0, 1, 2, 3]
-    # Rule 3, one placed: P(0) = {0} at loads [1,1,1,1]; P(2) = {1} at
-    # [2,1,1,1], where the global argmin would be 1 and 2.
-    assert p[4:6] == [0, 1]
-    # Rule 2, both placed and disjoint: (0,2) at [2,2,1,1] ties {0,1} → 0;
-    # (1,4) at [3,2,1,1] takes 2 from {0,2}, where the global argmin is 3.
-    assert p[6:8] == [0, 2]
-    # Rule 3 with two candidates: P(2) = {0,1} at [3,2,2,1] → 1.
-    assert p[8] == 1
+    # Rule 3, one placed: P(6) = {3} at loads [1,1,1,1] and P(2) = {1} at
+    # [1,1,1,2], where the global argmin is 0 both times.
+    assert p[4:6] == [3, 1]
+    # Rule 2, both placed and disjoint: {0} ∪ {2} at [1,2,1,2] ties → 0;
+    # {0} ∪ {3} at [2,2,1,2] ties → 0 over the global argmin 2; {0} ∪ {1}
+    # at [3,2,1,2] → 1, neither the union's lowest id nor the global argmin.
+    assert p[6:9] == [0, 0, 1]
+    # Rule 3 with two candidates: P(6) = {0,3} at [3,3,1,2] → 3.
+    assert p[9] == 3
 
 
 def test_mint_window_state_bounded(small_web):
