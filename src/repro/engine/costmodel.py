@@ -5,7 +5,7 @@ time on 32 docker PowerGraph nodes, with PUMBA-injected RTT (10–100 ms).
 Those quantities are deterministic functions of the partitioning:
 
 * computation: every node processes its local edges each superstep, and
-  the BSP barrier waits for the slowest → ``iters · max_p|p| · t_edge``;
+  the BSP barrier waits for the slowest → ``iters · max_p|p| · T_EDGE``;
 * communication: each mirror exchanges one gather + one apply message
   with its master per superstep; the busiest node serialises its own
   message volume over the NIC and every superstep pays two synchronised
