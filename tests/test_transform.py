@@ -82,7 +82,31 @@ def test_overflow_falls_back_to_underfull():
     c = stream_cluster(s, v_max=1000)
     a = np.zeros(c.n_clusters, dtype=np.int64)  # everyone wants partition 0
     tr = transform(s, c, a, 2, tau=1.0)
-    assert tr.loads[0] == 5 and tr.loads[1] == 5
+    assert np.array_equal(np.bincount(tr.edge_partition), [5, 5])
+
+
+def test_overflow_picks():
+    """Alg 1 lines 6–14 at k=4, τ=1 (L_max = 2), with hand-computed picks.
+
+    With one endpoint's partition full the edge goes to the other's, not
+    to the lowest-id underfull one; with both full it goes to the lowest-id
+    underfull partition, not to the least-loaded one (DESIGN.md §6).
+    """
+    # v_max=1 without splitting keeps every vertex in its own cluster, so
+    # ``part`` places each vertex directly.
+    part = {0: 0, 1: 0, 2: 1, 3: 1, 4: 2}
+    src = np.array([0, 0, 1, 2, 2, 0, 1, 4])
+    dst = np.array([1, 1, 4, 3, 3, 2, 3, 5])
+    s = EdgeStream(src, dst)
+    c = stream_cluster(s, v_max=1, splitting=False)
+    a = np.full(c.n_clusters, 3, dtype=np.int64)  # vertex 5 -> partition 3
+    for v, p in part.items():
+        a[c.clu[v]] = p
+    tr = transform(s, c, a, 4, tau=1.0)
+    # (0,1) twice fills p0; (1,4): p0 full -> p2, loads [2,0,1,0];
+    # (2,3) twice fills p1; (0,2): p0, p1 full -> p2, the lowest-id
+    # underfull, over the lighter p3; (1,3) -> p3; (4,5): p2 full -> p3.
+    assert tr.edge_partition.tolist() == [0, 0, 2, 1, 1, 2, 3, 3]
 
 
 @pytest.mark.parametrize("splitting", [True, False])
