@@ -157,16 +157,18 @@ def f10_parallel(
 ) -> pd.DataFrame:
     """Fig 10: game parallelisation — thread sweep and batch-size sweep.
 
-    The thread sweep comes from one run: its per-batch game times are
-    scheduled onto ``t`` threads by ``lpt_makespan`` (DESIGN.md §4: Python's
-    GIL caps wall-clock scaling, the modeled time preserves the
-    work-partitioning shape), so every thread row shares the run's wall
-    seconds and RF.
+    The thread sweep reads the batch sweep's run at ``batch_sizes[2]``: its
+    per-batch game times are scheduled onto ``t`` threads by
+    ``lpt_makespan`` (DESIGN.md §4: Python's GIL caps wall-clock scaling,
+    the modeled time preserves the work-partitioning shape), so every
+    thread row shares that run's wall seconds and RF.
     """
     stream = dataset("uk", sf=sf)
+    runs = [clugp_partition(stream, k, batch_size=b) for b in batch_sizes]
+    rfs = [round(quality_local(stream, res.edge_partition, k)["replication_factor"], 4)
+           for res in runs]
     rows = []
-    base = clugp_partition(stream, k, batch_size=batch_sizes[2])
-    base_rf = round(quality_local(stream, base.edge_partition, k)["replication_factor"], 4)
+    base, base_rf = runs[2], rfs[2]
     phases = base.extra["phase_seconds"]
     streaming_s = phases["clustering"] + phases["transform"]
     for t in threads:
@@ -183,8 +185,7 @@ def f10_parallel(
                 "replication_factor": base_rf,
             }
         )
-    for b in batch_sizes:
-        res = clugp_partition(stream, k, batch_size=b)
+    for b, res, rf in zip(batch_sizes, runs, rfs):
         rows.append(
             {
                 "sweep": "batch_size",
@@ -194,9 +195,7 @@ def f10_parallel(
                 "game_wall_s": round(res.extra["phase_seconds"]["game"], 4),
                 "modeled_game_s": round(sum(res.extra["batch_times"]), 4),
                 "modeled_total_s": round(sum(res.extra["phase_seconds"].values()), 4),
-                "replication_factor": round(
-                    quality_local(stream, res.edge_partition, k)["replication_factor"], 4
-                ),
+                "replication_factor": rf,
             }
         )
     return pd.DataFrame(rows)

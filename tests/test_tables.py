@@ -126,6 +126,10 @@ def test_f10_runner():
     assert rows.replication_factor.nunique() == 1
     assert rows.wall_s.nunique() == 1
     assert rows.modeled_game_s.is_monotonic_decreasing
+    # ... and that run is the batch sweep's at batch_sizes[2].
+    batch = df[(df.sweep == "batch_size") & (df.value == 1024)].iloc[0]
+    assert (rows.wall_s == batch.wall_s).all()
+    assert (rows.game_wall_s == batch.game_wall_s).all()
 
 
 def test_f11_runner():
