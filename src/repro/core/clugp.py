@@ -62,7 +62,6 @@ def clugp_partition(
 
     return PartitionResult(
         tr.edge_partition,
-        k,
         # O(2|V|) vertex state + O(m) cluster/game tables (§VI "Space").
         space_bytes=clus.space_bytes() + int(sizes.nbytes + g.assignment.nbytes),
         extra={

@@ -206,19 +206,13 @@ def cluster_graph(clustering: ClusteringResult):
         raise ValueError("cluster_graph: stream contains unclustered vertices")
     sizes = np.bincount(cu[cu == cv], minlength=n_clusters).astype(np.int64)
 
+    # Symmetric CSR: each inter-cluster edge keys both its rows; the sorted
+    # distinct keys are the (row, col) entries in CSR order, and their
+    # counts the weights.
     inter = cu != cv
-    lo = np.minimum(cu[inter], cv[inter])
-    hi = np.maximum(cu[inter], cv[inter])
-    key = lo.astype(np.int64) * n_clusters + hi
-    uniq, w = np.unique(key, return_counts=True)
-    lo_u = (uniq // n_clusters).astype(np.int64)
-    hi_u = (uniq % n_clusters).astype(np.int64)
-
-    # Symmetric CSR: every unordered pair appears in both rows.
-    rows = np.concatenate([lo_u, hi_u])
-    cols = np.concatenate([hi_u, lo_u])
-    ws = np.concatenate([w, w]).astype(np.int64)
-    order = np.argsort(rows, kind="stable")
-    rows, cols, ws = rows[order], cols[order], ws[order]
+    cu, cv = cu[inter], cv[inter]
+    key, ws = np.unique(np.concatenate([cu * n_clusters + cv, cv * n_clusters + cu]),
+                        return_counts=True)
+    rows, cols = np.divmod(key, n_clusters)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_clusters))))
-    return sizes, (indptr, cols, ws)
+    return sizes, (indptr, cols, ws.astype(np.int64))

@@ -6,13 +6,16 @@ and maps every edge to a partition, enforcing the user's imbalance factor
 τ via the per-partition cap ``L_max = τ|E|/k``:
 
 * overflow: if an endpoint partition is full, fall back to the other, then
-  to any underfull partition (lines 6–14);
+  to the lowest-id underfull partition (lines 6–14, DESIGN.md §6);
 * same partition: keep the edge local (lines 15–16);
 * divided vertices: reuse the endpoint that was already replicated in
   pass 1 — cut it again rather than replicating a fresh vertex
   (lines 17–19, disambiguated per DESIGN.md §6);
 * otherwise cut the higher-degree endpoint (lines 20–22, the HDRF/DBH
   power-law rule).
+
+Since τ ≥ 1, ``k·L_max ≥ |E|``: before edge i the loads sum to i < |E|, so
+some partition is underfull and the overflow rule always finds one.
 """
 from __future__ import annotations
 
@@ -30,13 +33,6 @@ class TransformResult:
     """The ⟨e, p⟩ table (as an array aligned with stream position)."""
 
     edge_partition: np.ndarray  # stream position -> partition id
-    loads: np.ndarray           # partition id -> #edges
-    k: int
-
-    def relative_balance(self) -> float:
-        """τ achieved: k·max|p| / |E| (Section II-B)."""
-        total = int(self.loads.sum())
-        return float(self.k * self.loads.max() / total) if total else 1.0
 
 
 def transform(
@@ -83,9 +79,9 @@ def transform(
             elif loads[p_v] < l_max:
                 p = p_v
             else:
-                while first_under < k and loads[first_under] >= l_max:
+                while loads[first_under] >= l_max:
                     first_under += 1
-                p = first_under if first_under < k else loads.index(min(loads))
+                p = first_under
         elif p_u == p_v:
             p = p_u
         elif u in mirror_parts or v in mirror_parts:
@@ -104,17 +100,9 @@ def transform(
                 p = p_v  # cut the already-replicated u again
             else:
                 p = p_u
-        elif deg[v] > deg[u]:
-            p = p_u
-        elif deg[u] > deg[v]:
-            p = p_v
         else:
-            p = p_u
+            p = p_v if deg[u] > deg[v] else p_u
         out.append(p)
         loads[p] += 1
 
-    return TransformResult(
-        edge_partition=np.array(out, dtype=np.int64),
-        loads=np.array(loads, dtype=np.int64),
-        k=k,
-    )
+    return TransformResult(edge_partition=np.array(out, dtype=np.int64))

@@ -33,7 +33,6 @@ class GraphLayout:
 
     n_vertices: int
     n_edges: int
-    n_partitions: int
     n_replicas: int          # Σ_v |P(v)|  (masters + mirrors)
     max_part_edges: int      # max_p |p|
     max_part_mirror_msgs: int  # busiest node's sync messages per iteration
@@ -58,7 +57,6 @@ class GraphLayout:
         return cls(
             n_vertices=int(masters.sum()),
             n_edges=int(edges.sum()),
-            n_partitions=len(edges),
             n_replicas=int(copies.sum()),
             max_part_edges=int(edges.max()),
             # Busiest node sends+receives one message pair per hosted mirror.

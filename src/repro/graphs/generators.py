@@ -39,6 +39,11 @@ _E_PER_SF = 3_000_000
 WEB_MAX_DEGREE_FRAC = 1e-3
 SOCIAL_MAX_DEGREE_FRAC = 4e-3
 
+#: Schema of the edge relation ``(pos, src, dst)``, and of the assignment
+#: relation, which adds each edge's partition.
+EDGE_SCHEMA = "pos long, src long, dst long"
+ASSIGNMENT_SCHEMA = EDGE_SCHEMA + ", partition long"
+
 #: Named presets mirroring Table III's five datasets (relative |E|/|V|
 #: densities roughly follow the real graphs: webbase is sparse-and-wide,
 #: it/arabic dense, twitter hub-heavy with no crawl locality).
@@ -118,7 +123,7 @@ class EdgeStream:
 
     def to_spark(self, spark: SparkSession) -> DataFrame:
         """Edge stream as a DataFrame ``(pos, src, dst)`` ordered by pos."""
-        return spark.createDataFrame(self.to_pandas())
+        return spark.createDataFrame(self.to_pandas(), schema=EDGE_SCHEMA)
 
 
 def _zipf_capped(n_v: int, alpha: float, max_degree_frac: float) -> np.ndarray:

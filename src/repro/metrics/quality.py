@@ -19,13 +19,13 @@ import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graphs.generators import EdgeStream
+from repro.graphs.generators import ASSIGNMENT_SCHEMA, EdgeStream
 
 def assignment_df(spark, stream: EdgeStream, edge_partition: np.ndarray) -> DataFrame:
     """Wrap a kernel result into the canonical assignment relation."""
     pdf = stream.to_pandas()
     pdf["partition"] = edge_partition.astype("int64")
-    return spark.createDataFrame(pdf, schema="pos long, src long, dst long, partition long")
+    return spark.createDataFrame(pdf, schema=ASSIGNMENT_SCHEMA)
 
 
 def partition_counts(assign: DataFrame) -> DataFrame:

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
-from repro.graphs.generators import EdgeStream
+from repro.graphs.generators import ASSIGNMENT_SCHEMA, EdgeStream
 
 if TYPE_CHECKING:
     import pandas as pd
@@ -38,7 +38,6 @@ class PartitionResult:
     """Edge→partition assignment of one streaming pass."""
 
     edge_partition: np.ndarray
-    k: int
     seconds: float = 0.0
     space_bytes: int = 0
     extra: dict = field(default_factory=dict)
@@ -178,5 +177,4 @@ def partition_spark(
             ["pos", "src", "dst", "partition"]
         ]
 
-    schema = "pos long, src long, dst long, partition long"
-    return edges.repartitionByRange(n_nodes, "pos").mapInPandas(run, schema=schema)
+    return edges.repartitionByRange(n_nodes, "pos").mapInPandas(run, schema=ASSIGNMENT_SCHEMA)

@@ -43,6 +43,6 @@ def greedy_partition(stream: EdgeStream, k: int) -> PartitionResult:
 
     n_entries = int(rep.sum())
     return PartitionResult(
-        out, k, space_bytes=16 * n_entries + 8 * k,
+        out, space_bytes=16 * n_entries + 8 * k,
         extra={"replica_entries": n_entries, "score_ops": stream.n_edges * k},
     )

@@ -33,7 +33,7 @@ def hashing_partition(stream: EdgeStream, k: int) -> PartitionResult:
     """Random edge placement by hashing the (src,dst) pair."""
     key = stream.src.astype(np.uint64) * np.uint64(1_000_003) + stream.dst.astype(np.uint64)
     parts = (_hash64(key) % np.uint64(k)).astype(np.int64)
-    return PartitionResult(parts, k, space_bytes=0, extra={"score_ops": 0})
+    return PartitionResult(parts, space_bytes=0, extra={"score_ops": 0})
 
 
 @register("dbh")
@@ -62,4 +62,4 @@ def dbh_partition(stream: EdgeStream, k: int) -> PartitionResult:
     key = np.where(cut_src, stream.src, stream.dst).astype(np.uint64)
     parts = (_hash64(key) % np.uint64(k)).astype(np.int64)
     n_v = len(boundaries) + 1 if len(seq) else 0
-    return PartitionResult(parts, k, space_bytes=8 * n_v, extra={"score_ops": stream.n_edges})
+    return PartitionResult(parts, space_bytes=8 * n_v, extra={"score_ops": stream.n_edges})

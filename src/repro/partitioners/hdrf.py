@@ -53,7 +53,7 @@ def hdrf_partition(stream: EdgeStream, k: int) -> PartitionResult:
 
     n_entries = int(rep.sum())
     return PartitionResult(
-        out, k,
+        out,
         space_bytes=16 * n_entries + 8 * n + 8 * k,  # replica table + δ[] + loads
         extra={"replica_entries": n_entries, "score_ops": stream.n_edges * k},
     )

@@ -84,8 +84,8 @@ def mint_partition(stream: EdgeStream, k: int, *, window: int = 4096) -> Partiti
         loads += np.bincount(assign, minlength=k)
 
     return PartitionResult(
-        out, k,
+        out,
         # Window state only: per-window membership vectors + loads.
         space_bytes=8 * k * min(2 * window, 2 * n_e) + 8 * k,
-        extra={"window": window, "score_ops": score_ops},
+        extra={"score_ops": score_ops},
     )

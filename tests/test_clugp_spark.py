@@ -80,5 +80,5 @@ def test_spark_lift_nodes_without_edges(spark):
     out = partition_spark(two, "clugp", 4, n_nodes=4).orderBy("pos").toPandas()
     assert out["pos"].tolist() == [0, 1]
     assert out["partition"].between(0, 3).all()
-    empty = spark.createDataFrame([], "pos long, src long, dst long")
+    empty = EdgeStream(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)).to_spark(spark)
     assert partition_spark(empty, "hdrf", 4, n_nodes=2).count() == 0

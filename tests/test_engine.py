@@ -282,8 +282,8 @@ def test_cc_two_components(spark):
 
 
 def test_cost_model_scales_with_mirrors():
-    base = GraphLayout(100, 1000, 8, 150, 125, 20)
-    worse = GraphLayout(100, 1000, 8, 300, 125, 80)
+    base = GraphLayout(100, 1000, 150, 125, 20)
+    worse = GraphLayout(100, 1000, 300, 125, 80)
     a = simulate(base, iterations=10)
     b = simulate(worse, iterations=10)
     assert b.communication_s > a.communication_s
@@ -292,7 +292,7 @@ def test_cost_model_scales_with_mirrors():
 
 
 def test_cost_model_rtt_additive():
-    lay = GraphLayout(100, 1000, 8, 150, 125, 20)
+    lay = GraphLayout(100, 1000, 150, 125, 20)
     no_lat = simulate(lay, iterations=10, model=CostModel(rtt=0.0))
     lat = simulate(lay, iterations=10, model=CostModel(rtt=0.05))
     # 10 iterations × 2 barriers × 50 ms
@@ -301,8 +301,8 @@ def test_cost_model_rtt_additive():
 
 
 def test_cost_model_computation_balanced_vs_skewed():
-    balanced = GraphLayout(100, 1000, 8, 150, 125, 20)
-    skewed = GraphLayout(100, 1000, 8, 150, 500, 20)
+    balanced = GraphLayout(100, 1000, 150, 125, 20)
+    skewed = GraphLayout(100, 1000, 150, 500, 20)
     assert (
         simulate(skewed, iterations=1).computation_s
         == 4 * simulate(balanced, iterations=1).computation_s

@@ -147,6 +147,14 @@ def test_to_spark_roundtrip(spark, tiny_web):
     assert set(df.columns) == {"pos", "src", "dst"}
 
 
+def test_to_spark_empty_stream(spark):
+    """An empty stream is an empty ``(pos, src, dst)`` relation."""
+    empty = G.EdgeStream(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    df = empty.to_spark(spark)
+    assert df.dtypes == [("pos", "bigint"), ("src", "bigint"), ("dst", "bigint")]
+    assert df.count() == 0
+
+
 def test_unknown_dataset_raises():
     with pytest.raises(KeyError):
         G.dataset("nope")

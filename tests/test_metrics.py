@@ -84,7 +84,7 @@ def test_empty_assignment_all_entry_points(spark):
     }
     assert quality(assign, 4) == quality_local(empty, parts, 4) == expected
     lay = layout_local(empty, parts, 4)
-    assert layout(assign, 4) == lay == GraphLayout(0, 0, 4, 0, 0, 0)
+    assert layout(assign, 4) == lay == GraphLayout(0, 0, 0, 0, 0)
     assert lay.replication_factor == 1.0
 
 
