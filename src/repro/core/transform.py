@@ -53,7 +53,8 @@ def transform(
     deg = clustering.deg.tolist()
     a = cluster_partition
     out: list[int] = []
-    # Loads only grow, so the first underfull partition only moves right.
+    # Loads only grow, so the first underfull partition only moves right;
+    # τ ≥ 1 keeps it below k (module docstring).
     first_under = 0
 
     # Keyed by divided vertex: the partitions holding its pass-1 mirrors
