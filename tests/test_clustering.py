@@ -211,3 +211,28 @@ def test_self_loops_and_repeated_edges_pinned(v_max, splitting):
     assert c.n_mirrors == want["n_mirrors"]
     assert c.n_clusters == len(want["vol"])
     assert sorted(np.flatnonzero(c.divided).tolist()) == sorted(want["mirror_clusters"])
+
+
+# Pass 1's state on the ``split_heavy`` stream, recorded before its loop
+# moved out of Python.
+_SPLIT_HEAVY_PINNED = dict(
+    clu=[1, 5, 8],
+    deg=[7, 12, 9],
+    vol=[0, 7, 0, 0, 0, 12, 0, 0, 9],
+    edge_cu=[1, 1, 1, 1, 1, 5, 5, 1, 8, 5, 5, 8, 1, 8],
+    edge_cv=[1, 1, 1, 1, 1, 5, 5, 1, 1, 5, 8, 5, 1, 5],
+    mirror_clusters={2: [1, 1], 0: [1, 5, 5], 1: [1]},
+    n_mirrors=3,
+)
+
+
+def test_splits_outnumber_vertices_pinned(split_heavy):
+    c = stream_cluster(split_heavy, v_max=10.0)
+    want = _SPLIT_HEAVY_PINNED
+    for field in ("clu", "deg", "vol", "edge_cu", "edge_cv"):
+        assert getattr(c, field).tolist() == want[field], field
+    assert c.mirror_clusters == want["mirror_clusters"]
+    # Dict order is first-split order.
+    assert list(c.mirror_clusters) == list(want["mirror_clusters"])
+    assert sum(map(len, c.mirror_clusters.values())) > len(c.clu)
+    assert c.n_mirrors == want["n_mirrors"]

@@ -141,3 +141,18 @@ def test_deterministic(tiny_web):
     _, _, a = _pipeline(tiny_web, 8)
     _, _, b = _pipeline(tiny_web, 8)
     assert np.array_equal(a.edge_partition, b.edge_partition)
+
+
+# Pass 3 on the ``split_heavy`` stream (every vertex divided), recorded before
+# its loop moved out of Python.  At k=3, τ=1 the overflow rule takes each
+# of its three picks and two edges between divided vertices with no shared
+# mirror partition go to the lighter endpoint partition; at k=2, τ=1.5
+# the mirror-reuse picks of either endpoint fire.
+@pytest.mark.parametrize("k,tau,a,want", [
+    (3, 1.0, [0, 0, 0, 0, 0, 2, 0, 0, 1], [0, 0, 0, 0, 0, 2, 2, 1, 1, 2, 1, 1, 1, 2]),
+    (2, 1.5, [0, 1, 0, 1, 0, 1, 0, 1, 0], [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0]),
+], ids=["k3", "k2"])
+def test_split_heavy_stream_pinned(split_heavy, k, tau, a, want):
+    c = stream_cluster(split_heavy, v_max=10.0)
+    tr = transform(split_heavy, c, np.array(a, dtype=np.int64), k, tau=tau)
+    assert tr.edge_partition.tolist() == want
