@@ -13,5 +13,7 @@ setup(
     version="0.1.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    # Compiled on first import (repro/core/_kernels.py).
+    package_data={"repro.core": ["_kernels.c"]},
     python_requires=">=3.11",
 )

@@ -17,12 +17,15 @@ cluster, and per cluster its *volume* (sum of member-vertex degrees).
 which is both the paper's ablation CLUGP-S (Fig 9) and the prior art the
 theorems compare against.
 
-The kernel is a plain Python loop over plain Python lists — the streaming
-model is inherently a stateful sequential scan, so there is nothing to
-gain from Catalyst here, and list indexing avoids numpy's per-scalar
-boxing; the state becomes numpy arrays once, on exit.  Spark-level
-parallelism happens one level up, where each "distributed node" runs this
-kernel over its own substream (`repro.partitioners.base.partition_spark`).
+The per-edge loop is C (``_kernels.c``, compiled on first import by
+``_kernels.py``): the streaming model is inherently a stateful sequential
+scan, so neither Catalyst nor numpy vectorisation applies, and a compiled
+loop is O(1) per edge as the paper's Java passes are (§VI-A).
+``stream_cluster``'s docstring states the loop's rules, which the C source
+follows line by line; the state lives in int64 numpy arrays throughout.
+Spark-level parallelism happens one level up, where each "distributed
+node" runs this kernel over its own substream
+(`repro.partitioners.base.partition_spark`).
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import _kernels
 from repro.graphs.generators import EdgeStream
 
 #: Splitting's recency guard (DESIGN.md §6): only a vertex discovered within
@@ -94,99 +98,78 @@ def stream_cluster(
 
     The state arrays are indexed by vertex id, ``max id + 1`` long: callers
     pass a densified stream (``EdgeStream.densify``), as ``clugp_partition``
-    does.  Note Alg 2 line 18 reads ``vol(c'_v) += deg[u]`` — a typo for
-    ``deg[v]`` (symmetric with the u-branch, line 13); we use ``deg[v]``.
+    does; a negative id raises ``ValueError``.  Note Alg 2 line 18 reads
+    ``vol(c'_v) += deg[u]`` — a typo for ``deg[v]`` (symmetric with the
+    u-branch, line 13); we use ``deg[v]``.
+
+    For edge ``i = (u, v)``, in this order:
+
+    * **allocation** — an unseen endpoint opens a cluster of volume 0 and
+      records ``i`` as its discovery position; then ``deg[u]``, ``deg[v]``
+      and both endpoint clusters' volumes grow by 1 (a self-loop counts
+      twice on its one vertex and cluster).
+    * **splitting** (CLUGP only) — u, then v (so v's check sees the volume
+      u's split left): if the endpoint's cluster has volume ≥ ``v_max``,
+      the endpoint moves to a fresh cluster of volume ``deg``, its old
+      cluster keeps a mirror (``mirror_clusters``) and loses ``deg`` of
+      volume.  Two stabilising guards apply (DESIGN.md §6): (a) ``deg <
+      v_max`` — Theorem 2 assumes V_max = |E|/k > d_max; a vertex with
+      degree ≥ V_max would re-split on every incident edge (its fresh
+      cluster overflows immediately), churning one useless mirror per
+      edge; (b) recency, discovery position ≥ ``i − SPLIT_RECENCY·v_max``
+      — splitting pays off when the vertex's *future* neighbours
+      concentrate in its new cluster ("high-degree vertices tend to form
+      new clusters with subsequent neighbouring vertices", §IV-A), i.e.
+      for vertices still on the BFS frontier; splitting a long-settled
+      vertex scatters its edge history over churn clusters instead.
+    * **migration** — Hollocou's rule: if the endpoints' clusters differ
+      and both volumes are < ``v_max``, the endpoint in the smaller
+      cluster (u on a tie) joins the other, provided the joined volume
+      stays ≤ ``v_max``.
+    * the edge's stream-time clusters go to ``edge_cu[i]``, ``edge_cv[i]``.
     """
     if v_max <= 0:
         raise ValueError(f"v_max must be positive, got {v_max}")
     n = stream.id_bound
-    src, dst = stream.src.tolist(), stream.dst.tolist()
+    src = _kernels.indices(stream.src, n, "vertex id")
+    dst = _kernels.indices(stream.dst, n, "vertex id")
+    if len(src) != len(dst):
+        raise ValueError(f"stream has {len(src)} sources but {len(dst)} destinations")
+    n_e = len(src)
 
-    clu = [-1] * n
-    deg = [0] * n
-    vol: list[int] = []  # cluster id -> volume; a new cluster appends
+    clu = np.full(n, -1, dtype=np.int64)
+    deg = np.zeros(n, dtype=np.int64)
+    first_pos = np.zeros(n, dtype=np.int64)  # stream position of discovery
+    edge_cu = np.empty(n_e, dtype=np.int64)
+    edge_cv = np.empty(n_e, dtype=np.int64)
+    # Each vertex opens one cluster and each split one more: room for n
+    # splits first, doubled whenever the kernel stops for want of it.
+    cap = 2 * n + 4
+    vol, split_v, split_c = (np.empty(cap, dtype=np.int64) for _ in range(3))
+    n_clusters = np.zeros(1, dtype=np.int64)
+    n_splits = np.zeros(1, dtype=np.int64)
+    i = 0
+    while True:
+        i = _kernels.lib.stream_cluster(
+            i, n_e, src, dst, v_max, SPLIT_RECENCY * v_max, splitting, clu, deg, first_pos,
+            vol, cap, n_clusters, split_v, split_c, n_splits, edge_cu, edge_cv)
+        if i == n_e:
+            break
+        cap *= 2
+        vol, split_v, split_c = (np.concatenate([x, np.empty_like(x)])
+                                 for x in (vol, split_v, split_c))
+
     mirror_clusters: dict[int, list[int]] = {}
-    edge_cu = [0] * len(src)
-    edge_cv = [0] * len(src)
-    first_pos = [0] * n  # stream position of discovery
-    recency = SPLIT_RECENCY * v_max
-
-    # The endpoints' clusters and degrees live in locals for the whole
-    # edge; a self-loop (u == v) keeps them equal.
-    for i, (u, v) in enumerate(zip(src, dst)):
-        # -- allocation ---------------------------------------------------
-        c_u = clu[u]
-        if c_u < 0:
-            c_u = clu[u] = len(vol)
-            vol.append(0)
-            first_pos[u] = i
-        c_v = clu[v]
-        if c_v < 0:
-            c_v = clu[v] = len(vol)
-            vol.append(0)
-            first_pos[v] = i
-        d_u = deg[u] = deg[u] + 1
-        d_v = deg[v] = deg[v] + 1
-        if u == v:
-            d_u = d_v
-        vol[c_u] += 1
-        vol[c_v] += 1
-        # -- splitting (CLUGP only) --------------------------------------
-        # Two stabilising guards on Alg 2's overflow check (DESIGN.md §6):
-        # (a) deg < V_max — Theorem 2 assumes V_max = |E|/k > d_max; a
-        #     vertex with degree ≥ V_max would re-split on every incident
-        #     edge (its fresh cluster overflows immediately), churning one
-        #     useless mirror per edge;
-        # (b) recency — splitting pays off when the vertex's *future*
-        #     neighbours concentrate in its new cluster ("high-degree
-        #     vertices tend to form new clusters with subsequent
-        #     neighbouring vertices", §IV-A), i.e. for vertices still on
-        #     the BFS frontier. Splitting a long-settled vertex scatters
-        #     its edge history over churn clusters instead.
-        # u is checked before v, so v's check sees the volume u's split left.
-        if splitting:
-            if vol[c_u] >= v_max and d_u < v_max and first_pos[u] >= i - recency:
-                clu[u] = len(vol)
-                vol.append(d_u)
-                vol[c_u] -= d_u
-                mirror_clusters.setdefault(u, []).append(c_u)
-                c_u = clu[u]
-                if u == v:
-                    c_v = c_u
-            if vol[c_v] >= v_max and d_v < v_max and first_pos[v] >= i - recency:
-                clu[v] = len(vol)
-                vol.append(d_v)
-                vol[c_v] -= d_v
-                mirror_clusters.setdefault(v, []).append(c_v)
-                c_v = clu[v]
-        # -- migration ----------------------------------------------------
-        # Hollocou's rule: the endpoint in the smaller cluster joins the
-        # bigger one, provided the merge respects the volume cap.
-        if c_u != c_v:
-            vol_u = vol[c_u]
-            vol_v = vol[c_v]
-            if vol_u < v_max and vol_v < v_max:
-                if vol_u <= vol_v:
-                    if vol_v + d_u <= v_max:
-                        clu[u] = c_v
-                        vol[c_u] = vol_u - d_u
-                        vol[c_v] = vol_v + d_u
-                        c_u = c_v
-                elif vol_u + d_v <= v_max:
-                    clu[v] = c_u
-                    vol[c_v] = vol_v - d_v
-                    vol[c_u] = vol_u + d_v
-                    c_v = c_u
-        edge_cu[i] = c_u
-        edge_cv[i] = c_v
-
+    n_s = int(n_splits[0])
+    for v, c in zip(split_v[:n_s].tolist(), split_c[:n_s].tolist()):
+        mirror_clusters.setdefault(v, []).append(c)
     return ClusteringResult(
-        clu=np.array(clu, dtype=np.int64),
-        deg=np.array(deg, dtype=np.int64),
-        vol=np.array(vol, dtype=np.int64),
+        clu=clu,
+        deg=deg,
+        vol=vol[: int(n_clusters[0])].copy(),
         mirror_clusters=mirror_clusters,
-        edge_cu=np.array(edge_cu, dtype=np.int64),
-        edge_cv=np.array(edge_cv, dtype=np.int64),
+        edge_cu=edge_cu,
+        edge_cv=edge_cv,
     )
 
 

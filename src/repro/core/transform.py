@@ -3,19 +3,36 @@
 Third and final restream: joins the ⟨v,c⟩ table of pass 1 with the ⟨c,p⟩
 table of pass 2 (queried sequentially, never materialised — O(1) per edge)
 and maps every edge to a partition, enforcing the user's imbalance factor
-τ via the per-partition cap ``L_max = τ|E|/k``:
+τ via the per-partition cap ``L_max = τ|E|/k``.  For edge ``(u, v)`` with
+endpoint partitions ``p_u``, ``p_v``, the first rule that applies picks
+its partition:
 
-* overflow: if an endpoint partition is full, fall back to the other, then
-  to the lowest-id underfull partition (lines 6–14, DESIGN.md §6);
-* same partition: keep the edge local (lines 15–16);
-* divided vertices: reuse the endpoint that was already replicated in
-  pass 1 — cut it again rather than replicating a fresh vertex
-  (lines 17–19, disambiguated per DESIGN.md §6);
+* overflow (lines 6–14, DESIGN.md §6): if ``p_u`` or ``p_v`` is full (load
+  ≥ ``L_max``), the other one if it is not, else the lowest-id underfull
+  partition.  Loads only grow, so that partition's id only moves right
+  and one pointer finds it;
+* same partition: ``p_u == p_v`` keeps the edge local (lines 15–16);
+* divided vertices (lines 17–19, disambiguated per DESIGN.md §6): reuse
+  the endpoint that was already replicated in pass 1 — cut it again
+  rather than replicating a fresh vertex.  If u has a mirror in ``p_v``,
+  ``p_v``; else if v has one in ``p_u``, ``p_u`` (either way the edge
+  costs no new replica); else if both are divided, the less-loaded of
+  ``p_u``, ``p_v`` (``p_u`` on a tie); else the partition of the endpoint
+  that is not divided;
 * otherwise cut the higher-degree endpoint (lines 20–22, the HDRF/DBH
-  power-law rule).
+  power-law rule): ``p_v`` if ``deg[u] > deg[v]``, else ``p_u``.
+
+The ⟨v,c⟩ table is queried as of the edge's stream position (the
+stream-time clusters ``edge_cu``/``edge_cv`` recorded by pass 1): this is
+the accounting of Fig 2, where e(v,v₁) belongs to v's *new* cluster c₁
+while v's earlier edges stay with c₀ — the very mechanism by which
+splitting concentrates a high-degree vertex's later edges in one place.
 
 Since τ ≥ 1, ``k·L_max ≥ |E|``: before edge i the loads sum to i < |E|, so
 some partition is underfull and the overflow rule always finds one.
+
+The per-edge loop is C (``_kernels.c``, built on first import), following
+these rules line by line; ``transform`` checks every index it passes in.
 """
 from __future__ import annotations
 
@@ -24,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import _kernels
 from repro.core.clustering import ClusteringResult
 from repro.graphs.generators import EdgeStream
 
@@ -43,67 +61,39 @@ def transform(
     *,
     tau: float = 1.0,
 ) -> TransformResult:
-    """Run Algorithm 1: restream edges, emit one partition id per edge."""
+    """Run Algorithm 1: restream edges, emit one partition id per edge.
+
+    ``cluster_partition`` needs an entry in ``[0, k)`` for each of the
+    clustering's clusters; anything else raises ``ValueError``.
+    """
     # NaN fails every comparison and ∞ lifts the cap: both would unbound L_max.
     if not (math.isfinite(tau) and tau >= 1.0):
         raise ValueError(f"imbalance factor τ must be finite and ≥ 1, got {tau}")
-    n_e = stream.n_edges
-    l_max = tau * n_e / k
-    loads = [0] * k
-    deg = clustering.deg.tolist()
-    a = cluster_partition
-    out: list[int] = []
-    # Loads only grow, so the first underfull partition only moves right;
-    # τ ≥ 1 keeps it below k (module docstring).
-    first_under = 0
+    n_v, n_c = len(clustering.deg), clustering.n_clusters
+    src = _kernels.indices(stream.src, n_v, "vertex id")
+    dst = _kernels.indices(stream.dst, n_v, "vertex id")
+    n_e = len(src)
+    if not len(dst) == len(clustering.edge_cu) == len(clustering.edge_cv) == n_e:
+        raise ValueError("stream and clustering disagree on the number of edges")
+    if len(cluster_partition) < n_c:
+        raise ValueError(f"cluster_partition has {len(cluster_partition)} entries "
+                         f"for {n_c} clusters")
+    a = _kernels.indices(cluster_partition, k, "cluster partition")
+    cu = _kernels.indices(clustering.edge_cu, n_c, "edge cluster")
+    cv = _kernels.indices(clustering.edge_cv, n_c, "edge cluster")
 
-    # Keyed by divided vertex: the partitions holding its pass-1 mirrors
-    # (never empty) — the O(1)-per-edge lookup behind Alg 1 lines 17–19
-    # ("assign e to the partitions where u(v)'s mirror vertex belongs to").
-    mirror_parts: dict[int, set[int]] = {
-        v: {int(a[c]) for c in cs} for v, cs in clustering.mirror_clusters.items()
-    }
-    empty: set[int] = set()
+    # Row v: the partitions holding divided vertex v's pass-1 mirrors,
+    # sorted and distinct (never empty for a divided vertex) — the O(1)-
+    # per-edge lookup behind Alg 1 lines 17–19 ("assign e to the partitions
+    # where u(v)'s mirror vertex belongs to").
+    mc = clustering.mirror_clusters
+    m_v = _kernels.indices([v for v, cs in mc.items() for _ in cs], n_v, "divided vertex")
+    m_c = _kernels.indices([c for cs in mc.values() for c in cs], n_c, "mirror cluster")
+    pairs = np.unique(m_v * k + a[m_c])
+    m_ptr = np.zeros(n_v + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs // k, minlength=n_v), out=m_ptr[1:])
 
-    # The ⟨v,c⟩ table is queried as of the edge's stream position (the
-    # stream-time clusters recorded by pass 1): this is the accounting of
-    # Fig 2, where e(v,v₁) belongs to v's *new* cluster c₁ while v's
-    # earlier edges stay with c₀ — the very mechanism by which splitting
-    # concentrates a high-degree vertex's later edges in one place.
-    p_us = a[clustering.edge_cu].tolist()
-    p_vs = a[clustering.edge_cv].tolist()
-
-    for u, v, p_u, p_v in zip(stream.src.tolist(), stream.dst.tolist(), p_us, p_vs):
-        if loads[p_u] >= l_max or loads[p_v] >= l_max:
-            if loads[p_u] < l_max:
-                p = p_u
-            elif loads[p_v] < l_max:
-                p = p_v
-            else:
-                while loads[first_under] >= l_max:
-                    first_under += 1
-                p = first_under
-        elif p_u == p_v:
-            p = p_u
-        elif u in mirror_parts or v in mirror_parts:
-            # Reuse an existing replica: if the other endpoint's partition
-            # already holds a mirror of the divided vertex, the edge costs
-            # zero new replicas there.
-            m_u = mirror_parts.get(u, empty)
-            m_v = mirror_parts.get(v, empty)
-            if p_v in m_u:
-                p = p_v
-            elif p_u in m_v:
-                p = p_u
-            elif m_u and m_v:
-                p = p_u if loads[p_u] <= loads[p_v] else p_v
-            elif m_u:
-                p = p_v  # cut the already-replicated u again
-            else:
-                p = p_u
-        else:
-            p = p_v if deg[u] > deg[v] else p_u
-        out.append(p)
-        loads[p] += 1
-
-    return TransformResult(edge_partition=np.array(out, dtype=np.int64))
+    out = np.empty(n_e, dtype=np.int64)
+    _kernels.lib.transform(n_e, src, dst, cu, cv, a, clustering.deg, m_ptr, pairs % k,
+                           tau * n_e / k, np.zeros(k, dtype=np.int64), out)
+    return TransformResult(edge_partition=out)

@@ -236,3 +236,9 @@ def test_splits_outnumber_vertices_pinned(split_heavy):
     assert list(c.mirror_clusters) == list(want["mirror_clusters"])
     assert sum(map(len, c.mirror_clusters.values())) > len(c.clu)
     assert c.n_mirrors == want["n_mirrors"]
+
+
+def test_negative_id_raises():
+    """A negative id would alias another vertex's state (-1 is the last)."""
+    with pytest.raises(ValueError, match="vertex id"):
+        stream_cluster(EdgeStream(np.array([0, 1, -1]), np.array([1, 2, 0])), v_max=10)

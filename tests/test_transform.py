@@ -156,3 +156,20 @@ def test_split_heavy_stream_pinned(split_heavy, k, tau, a, want):
     c = stream_cluster(split_heavy, v_max=10.0)
     tr = transform(split_heavy, c, np.array(a, dtype=np.int64), k, tau=tau)
     assert tr.edge_partition.tolist() == want
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_partition_outside_range_raises(tiny_web, bad):
+    """A cluster mapped outside [0, k) would emit (or index) a partition
+    that does not exist."""
+    c = stream_cluster(tiny_web, v_max=tiny_web.n_edges / 4)
+    a = np.zeros(c.n_clusters, dtype=np.int64)
+    a[c.edge_cu[0]] = bad
+    with pytest.raises(ValueError, match="cluster partition"):
+        transform(tiny_web, c, a, 4)
+
+
+def test_short_cluster_partition_raises(tiny_web):
+    c = stream_cluster(tiny_web, v_max=tiny_web.n_edges / 4)
+    with pytest.raises(ValueError, match="clusters"):
+        transform(tiny_web, c, np.zeros(c.n_clusters - 1, dtype=np.int64), 4)
