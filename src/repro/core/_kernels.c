@@ -1,6 +1,7 @@
-/* Per-edge loops of CLUGP's passes 1 and 3, loaded by repro/core/_kernels.py.
+/* The loops of CLUGP's three passes, loaded by repro/core/_kernels.py.
  *
- * stream_cluster is the loop of Algorithm 2 documented in clustering.py, and
+ * stream_cluster is the loop of Algorithm 2 documented in clustering.py,
+ * best_responses the sweep of Algorithm 3 documented in game.py, and
  * transform the loop of Algorithm 1 documented in transform.py; each rule
  * below is commented there.  The Python wrappers validate every index
  * before calling in, so the loops do no bounds checks of their own.
@@ -168,4 +169,73 @@ void transform(int64_t n_e, const int64_t *src, const int64_t *dst,
         out[i] = p;
         loads[p] += 1;
     }
+}
+
+/* The lowest id among the lightest of loads[0, k). */
+static int64_t argmin(const double *loads, int64_t k)
+{
+    int64_t lightest = 0, p;
+
+    for (p = 1; p < k; p++)
+        if (loads[p] < loads[lightest])
+            lightest = p;
+    return lightest;
+}
+
+/* Algorithm 3 over clusters order[0, n).  Weights are >= 1, so a partition
+ * enters touched once, as its cut turns positive; cut and touched hold k
+ * slots, cut zeros on entry and return.  Adds the partitions scored to
+ * *scored and returns the moves. */
+int64_t best_responses(int64_t n, const int64_t *order, int64_t k, double scale,
+                       const int64_t *indptr, const int64_t *cols,
+                       const int64_t *ws, const int64_t *sizes,
+                       const double *ext, int64_t *a, double *loads,
+                       int64_t *cut, int64_t *touched, int64_t *scored)
+{
+    int64_t lightest = argmin(loads, k), moves = 0, t, j;
+
+    for (t = 0; t < n; t++) {
+        int64_t i = order[t], cur = a[i], best = cur, n_touched = 0;
+        double size = (double)sizes[i], c = scale * size, cost_cur, best_cost;
+
+        for (j = indptr[i]; j < indptr[i + 1]; j++) {
+            int64_t p = a[cols[j]];
+
+            if (cut[p] == 0)
+                touched[n_touched++] = p;
+            cut[p] += ws[j];
+        }
+        if (lightest != cur && cut[lightest] == 0)
+            touched[n_touched++] = lightest;
+        *scored += n_touched + (cut[cur] == 0);
+        /* i leaves cur while it chooses; loads are exact integers */
+        loads[cur] -= size;
+        cost_cur = c * (loads[cur] + size) + 0.5 * (ext[i] - cut[cur]);
+        best_cost = cost_cur;
+        for (j = 0; j < n_touched; j++) {
+            int64_t p = touched[j];
+            double cost = c * (loads[p] + size) + 0.5 * (ext[i] - cut[p]);
+
+            if (cost < best_cost || (cost == best_cost &&
+                (loads[p] < loads[best] ||
+                 (loads[p] == loads[best] && p < best)))) {
+                best = p;
+                best_cost = cost;
+            }
+            cut[p] = 0;
+        }
+        if (best_cost < cost_cur - 1e-12) {
+            moves++;
+            a[i] = best;
+            loads[best] += size;
+            if (best == lightest)
+                lightest = argmin(loads, k);
+            else if (loads[cur] < loads[lightest] ||
+                     (loads[cur] == loads[lightest] && cur < lightest))
+                lightest = cur;
+        } else {
+            loads[cur] += size;
+        }
+    }
+    return moves;
 }

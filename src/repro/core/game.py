@@ -15,30 +15,26 @@ Loads are tracked as Σ of member clusters' intra-edge counts — the measure
 under which the exact-potential identity ΔΦ ≡ Δφ holds (see DESIGN.md §6);
 the inter-cluster edges that end up co-located are assigned in pass 3.
 
-Cost: the paper charges a best response Θ(|N(c_i)|), so Θ(m) per sweep
-(Theorem 3).  Here each cluster keeps a live cut table
-``{partition: |e(c_i, p)|}`` for the whole game, so a best response costs
-O(|candidates|) — the partitions in its table, its own and the lightest —
-and only a committed move pays O(|N(c_i)|), to update its neighbours'
-tables.  The tables are built once, an O(nnz) numpy step before the first
-sweep: outside the per-batch timings, inside the game's wall time.
-``GameResult.score_ops`` counts the paper model's m·k scores per sweep,
-``candidates_scored`` the scores actually run.
+Cost: a best response scans its cluster's CSR row once, Θ(|N(c_i)|)
+(Theorem 3), in C (``_kernels.c``), and scores only the partitions the row
+touches, its own and the lightest.  ``GameResult.score_ops`` counts the
+paper model's m·k scores per sweep, ``candidates_scored`` those run.
 
 Parallelisation (paper §V-D): the paper hands ID-contiguous cluster
 batches to threads.  Here every batch runs sequentially on the live state,
 so the result does not depend on the batch size; each batch's wall time is
 recorded, and Fig 10 models the thread sweep as the ``lpt_makespan`` of
-that profile (Python's GIL would serialise real threads; DESIGN.md §4).
+that profile (threads on one live state would race; DESIGN.md §4).
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
+
+from repro.core import _kernels
 
 #: Cap on best-response sweeps; Theorem 6 bounds the rounds well below it.
 MAX_ROUNDS = 64
@@ -49,7 +45,6 @@ class GameResult:
     """Cluster → partition strategy profile Λ* plus convergence telemetry."""
 
     assignment: np.ndarray       # cluster id -> partition id
-    loads: np.ndarray            # partition id -> Σ|c_i| of members
     lam: float
     rounds: int
     moves: int
@@ -115,97 +110,34 @@ def potential(assignment: np.ndarray, sizes: np.ndarray, adj, lam: float, k: int
     return float(lam / (2.0 * k) * (loads**2).sum() + 0.5 * cut)
 
 
-def _cut_tables(adj, assignment: np.ndarray, k: int) -> list[dict[int, int]]:
-    """Each cluster's cut table ``{partition: Σ w}`` over its neighbours
-    under ``assignment``: one ``np.unique`` over the keys ``row·k + a[col]``
-    and a ``bincount`` of the weights, then one dict per cluster.  The
-    weights are positive counts, so no table holds a zero entry."""
-    indptr, cols, ws = adj
-    m = len(indptr) - 1
-    rows = np.repeat(np.arange(m, dtype=np.int64), np.diff(indptr))
-    keys, inv = np.unique(rows * k + assignment[cols], return_inverse=True)
-    cut = np.bincount(inv, weights=ws, minlength=len(keys)).astype(np.int64)
-    entries = zip((keys % k).tolist(), cut.tolist())  # sorted by row
-    return [dict(islice(entries, n)) for n in np.bincount(keys // k, minlength=m).tolist()]
+def _checked_csr(adj, m: int):
+    """``adj`` as int64 arrays, checked to be a CSR over m clusters with ids
+    in [0, m) and weights ≥ 1 (a zero weight would overrun the C scratch)."""
+    indptr, cols, ws = (np.ascontiguousarray(x, dtype=np.int64) for x in adj)
+    if not (len(indptr) == m + 1 and indptr[0] == 0 and indptr[-1] == len(cols) == len(ws)
+            and (np.diff(indptr) >= 0).all() and (ws >= 1).all()):
+        raise ValueError(f"adj is not a CSR of {m} rows and {len(cols)} entries, weights ≥ 1")
+    return indptr, _kernels.indices(cols, m, "neighbour cluster id"), ws
 
 
-def _best_response_pass(
-    clusters,
-    assignment: list[int],
-    loads: list[float],
-    sizes: list[int],
-    ext: list[float],
-    adj,
-    cuts: list[dict[int, int]],
-    lam: float,
-    k: int,
-) -> tuple[int, int]:
+def _best_response_pass(clusters, assignment, loads, sizes, ext, adj, lam: float, k: int):
     """One round-robin sweep of best responses over ``clusters``.
 
-    ``assignment``/``loads``/``cuts`` are mutated in place and ``adj`` is
-    the CSR triple as lists; returns the number of strategy changes and of
-    partitions scored.  ``cuts[i]`` is cluster i's live cut table (see
-    ``_cut_tables``), so a best response reads no CSR row: it scores the
-    partitions in ``cuts[i]``, its current partition and the globally
-    lightest partition, O(|candidates|) per cluster.  That is exact for
-    λ ≥ 0: a partition holding no neighbour costs
+    ``assignment`` (int64, in [0, k)) and ``loads`` are mutated in place and
+    ``adj`` is as ``_checked_csr`` returns it; returns the number of strategy
+    changes and of partitions scored.  A best response scores the partitions
+    its CSR row touches, its current partition and the globally lightest
+    one.  That is exact for λ ≥ 0: a partition holding no neighbour costs
     (λ/k)|c_i|(load+|c_i|) + ½·ext, which does not decrease with load, so
     among those partitions the tie-break (cost, load, id) always picks the
-    lightest.  A committed move of c_i from a to b costs O(|N(c_i)|): each
-    neighbour's table loses c_i's weight at a and gains it at b.
+    lightest.
     """
-    indptr, cols, ws = adj
-    scale = lam / k
-    lightest = loads.index(min(loads))  # min by (load, id)
-    moves = scored = 0
-    for i in clusters:
-        cut = cuts[i]
-        size_i = sizes[i]
-        ext_i = ext[i]
-        cur = assignment[i]
-        load_cur = loads[cur] - size_i
-        cut_cur = cut.get(cur, 0)
-        # Costs are evaluated in the dense scorer's floating-point order.
-        a = scale * size_i
-        cost_cur = a * (load_cur + size_i) + 0.5 * (ext_i - cut_cur)
-        # Deterministic tie-breaks: lowest cost, then lightest load, then id.
-        best, best_cost, best_load = cur, cost_cur, load_cur
-        for p, cut_p in cut.items():
-            if p != cur:
-                load_p = loads[p]
-                cost = a * (load_p + size_i) + 0.5 * (ext_i - cut_p)
-                if cost < best_cost or cost == best_cost and (
-                    load_p < best_load or load_p == best_load and p < best
-                ):
-                    best, best_cost, best_load = p, cost, load_p
-        scored += len(cut) + (cut_cur == 0)
-        if lightest != cur and lightest not in cut:
-            scored += 1
-            load_p = loads[lightest]
-            cost = a * (load_p + size_i) + 0.5 * ext_i
-            if cost < best_cost or cost == best_cost and (
-                load_p < best_load or load_p == best_load and lightest < best
-            ):
-                best, best_cost, best_load = lightest, cost, load_p
-        if best != cur and best_cost < cost_cur - 1e-12:
-            moves += 1
-            assignment[i] = best
-            loads[cur] = load_cur
-            loads[best] += size_i
-            lo, hi = indptr[i], indptr[i + 1]
-            for j, w in zip(cols[lo:hi], ws[lo:hi]):
-                cut_j = cuts[j]
-                left = cut_j[cur] - w
-                if left:
-                    cut_j[cur] = left
-                else:
-                    del cut_j[cur]
-                cut_j[best] = cut_j.get(best, 0) + w
-            if best == lightest:
-                lightest = loads.index(min(loads))
-            elif (load_cur, cur) < (loads[lightest], lightest):
-                lightest = cur
-    return moves, scored
+    order = _kernels.indices(clusters, len(sizes), "cluster id")
+    scored = np.zeros(1, dtype=np.int64)
+    moves = _kernels.lib.best_responses(
+        len(order), order, k, lam / k, *adj, sizes, ext, assignment, loads,
+        np.zeros(k, dtype=np.int64), np.empty(k, dtype=np.int64), scored)
+    return moves, int(scored[0])
 
 
 def play_game(
@@ -225,50 +157,41 @@ def play_game(
     time; ``batch_size`` only sets how the per-batch wall times in
     ``batch_times`` are split up.  Every committed move strictly lowers the
     potential Φ, so sweeps repeat until no cluster moves (Theorem 6 bounds
-    the rounds).  The clusters' cut tables are built once, in O(nnz) numpy
-    work before the first sweep, and kept live by the moves.
+    the rounds).  A malformed cluster graph ``adj`` raises ``ValueError``.
     """
     m = len(sizes)
-    indptr, cols, ws = adj
+    sizes = np.ascontiguousarray(sizes, dtype=np.int64)
+    adj = _checked_csr(adj, m)
+    indptr, _, ws = adj
     ext = np.bincount(np.repeat(np.arange(m), np.diff(indptr)), weights=ws, minlength=m)
+    ext = ext.astype(np.float64)  # bincount gives int64 zeros when there is no edge
     lam_v = resolve_lambda(lam, sizes, ext, k)
 
     rng = np.random.default_rng(seed)
-    assignment_np = rng.integers(0, k, m, dtype=np.int64)
-    # The sweeps run on lists and dicts: numpy scalar indexing costs more
-    # than the arithmetic it feeds.
-    cuts = _cut_tables(adj, assignment_np, k)
-    assignment = assignment_np.tolist()
-    loads = np.bincount(assignment_np, weights=sizes, minlength=k).tolist()
-    sizes_l, ext_l = sizes.tolist(), ext.tolist()
-    adj_l = (indptr.tolist(), cols.tolist(), ws.tolist())
-    batches = [range(s, min(s + batch_size, m)) for s in range(0, m, batch_size)]
+    assignment = rng.integers(0, k, m, dtype=np.int64)
+    loads = np.bincount(assignment, weights=sizes, minlength=k)
+    batches = [np.arange(s, min(s + batch_size, m)) for s in range(0, m, batch_size)]
 
-    result = GameResult(assignment_np, np.asarray(loads), lam_v, rounds=0, moves=0)
+    result = GameResult(assignment, lam_v, rounds=0, moves=0)
     if track_potential:
-        result.potential_trace.append(potential(assignment_np, sizes, adj, lam_v, k))
+        result.potential_trace.append(potential(assignment, sizes, adj, lam_v, k))
 
     for _ in range(MAX_ROUNDS):
         result.rounds += 1
         moved = 0
         for batch in batches:
             t0 = time.perf_counter()
-            moves, scored = _best_response_pass(
-                batch, assignment, loads, sizes_l, ext_l, adj_l, cuts, lam_v, k
-            )
+            moves, scored = _best_response_pass(batch, assignment, loads, sizes, ext, adj,
+                                                lam_v, k)
             result.batch_times.append(time.perf_counter() - t0)
             moved += moves
             result.candidates_scored += scored
             result.score_ops += len(batch) * k
         result.moves += moved
         if track_potential:
-            result.potential_trace.append(
-                potential(np.asarray(assignment), sizes, adj, lam_v, k)
-            )
+            result.potential_trace.append(potential(assignment, sizes, adj, lam_v, k))
         if moved == 0:
             break
-    result.assignment = np.array(assignment, dtype=np.int64)
-    result.loads = np.array(loads, dtype=np.float64)
     return result
 
 
@@ -280,4 +203,4 @@ def greedy_assign(sizes: np.ndarray, k: int) -> GameResult:
         p = int(np.argmin(loads))
         assignment[i] = p
         loads[p] += sizes[i]
-    return GameResult(assignment, loads, lam=0.0, rounds=1, moves=len(sizes))
+    return GameResult(assignment, lam=0.0, rounds=1, moves=len(sizes))

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.clustering import cluster_graph, stream_cluster
 from repro.core.game import (
+    _best_response_pass,
     greedy_assign,
     lambda_eq,
     lambda_max,
@@ -76,14 +77,6 @@ def test_assignment_valid(small_web, k):
     assert len(g.assignment) == len(sizes)
 
 
-@pytest.mark.parametrize("k", [2, 4, 8])
-def test_loads_consistent(small_web, k):
-    sizes, adj = _clustered(small_web, k)
-    g = play_game(sizes, adj, k, seed=0)
-    expect = np.bincount(g.assignment, weights=sizes, minlength=k)
-    assert np.allclose(g.loads, expect)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_potential_monotone_single_batch(small_web, seed):
     """Φ must be non-increasing under live sequential best responses."""
@@ -104,7 +97,7 @@ def test_converges_to_equilibrium(small_web, k):
     m = len(sizes)
     ext = np.zeros(m)
     np.add.at(ext, np.repeat(np.arange(m), np.diff(indptr)), ws)
-    loads = g.loads.astype(np.float64)
+    loads = np.bincount(g.assignment, weights=sizes, minlength=k)
     lam = g.lam
     violations = 0
     for i in range(m):
@@ -187,9 +180,6 @@ def test_batched_equals_unbatched_validity(small_web):
     sizes, adj = _clustered(small_web, 8)
     games = [play_game(sizes, adj, 8, seed=0, batch_size=bs) for bs in (64, 1024, 10**9)]
     for g in games:
-        assert np.allclose(
-            g.loads, np.bincount(g.assignment, weights=sizes, minlength=8)
-        )
         # Batches run on the live state, so the batch size cannot change
         # the equilibrium reached.
         assert np.array_equal(g.assignment, games[0].assignment)
@@ -247,3 +237,32 @@ def test_resolve_lambda_rejects_negative_or_non_finite(lam):
 
 def test_resolve_lambda_accepts_zero():
     assert resolve_lambda(0.0, np.ones(2, dtype=np.int64), np.ones(2), 2) == 0.0
+
+
+# The toy graph's CSR made malformed one way each: (indptr, cols, ws) -> adj.
+MALFORMED = {
+    "neighbour-id-m": (lambda p, c, w: (p, np.where(c == 3, 4, c), w), "neighbour cluster id"),
+    "neighbour-id-negative": (lambda p, c, w: (p, np.where(c == 3, -1, c), w),
+                              "neighbour cluster id"),
+    "zero-weight": (lambda p, c, w: (p, c, np.where(w == 1, 0, w)), "not a CSR"),
+    "decreasing-indptr": (lambda p, c, w: (np.array([0, 3, 1, 5, 6]), c, w), "not a CSR"),
+    "short-indptr": (lambda p, c, w: (p[:-1], c, w), "not a CSR"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_play_game_rejects_malformed_cluster_graph(case):
+    sizes, adj = _toy_graph()
+    malform, match = MALFORMED[case]
+    with pytest.raises(ValueError, match=match):
+        play_game(sizes, malform(*adj), 2)
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_best_response_pass_rejects_order_id_out_of_range(bad):
+    sizes, adj = _toy_graph()
+    assignment = np.zeros(len(sizes), dtype=np.int64)
+    loads = np.bincount(assignment, weights=sizes, minlength=2)
+    ext = np.bincount(np.repeat(np.arange(4), np.diff(adj[0])), weights=adj[2], minlength=4)
+    with pytest.raises(ValueError, match="cluster id"):
+        _best_response_pass([0, bad], assignment, loads, sizes, ext, adj, 1.0, 2)

@@ -56,3 +56,16 @@ def test_second_import_does_not_rebuild(package):
     mtime = obj.stat().st_mtime_ns
     subprocess.run(IMPORT, env=env, check=True, timeout=120)
     assert built(core) == [obj] and obj.stat().st_mtime_ns == mtime
+
+
+def test_flag_edit_builds_a_new_object(package):
+    """The object's name covers the gcc command, so editing only a flag
+    builds a new object instead of loading the one built without it."""
+    env, core = package
+    subprocess.run(IMPORT, env=env, check=True, timeout=120)
+    (first,) = built(core)
+    loader = core / "_kernels.py"
+    loader.write_text(loader.read_text().replace('"-O2"', '"-O1"', 1))
+    subprocess.run(IMPORT, env=env, check=True, timeout=120)
+    objs = built(core)
+    assert len(objs) == 2 and first in objs

@@ -45,7 +45,6 @@ def test_game_invariants(stream, k, seed):
     sizes, adj = cluster_graph(c)
     g = play_game(sizes, adj, k, seed=seed)
     assert g.assignment.min() >= 0 and g.assignment.max() < k
-    assert np.allclose(g.loads, np.bincount(g.assignment, weights=sizes, minlength=k))
 
 
 @settings(max_examples=30, deadline=None)
